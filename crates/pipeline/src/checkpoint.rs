@@ -25,11 +25,21 @@ pub struct Checkpoint {
     pub state: Vec<u8>,
 }
 
+/// What the store retains: the newest checkpoint and how many were
+/// ever committed (which is also the next epoch it will accept).
+#[derive(Debug, Default)]
+struct Log {
+    latest: Option<Checkpoint>,
+    committed: u64,
+}
+
 /// Durable checkpoint store (in-memory stand-in for a checkpoint
-/// directory; keeps the full history so tests can inspect progression).
+/// directory). Recovery only ever reads the newest checkpoint, so that
+/// is all it keeps: memory stays bounded by one snapshot however long
+/// the query runs.
 #[derive(Debug, Default, Clone)]
 pub struct CheckpointStore {
-    inner: Arc<Mutex<Vec<Checkpoint>>>,
+    inner: Arc<Mutex<Log>>,
     faults: Arc<Mutex<Option<Arc<dyn FaultPoint>>>>,
 }
 
@@ -67,30 +77,30 @@ impl CheckpointStore {
             }
         }
         let mut inner = self.inner.lock();
-        let expected = inner.len() as u64;
-        if cp.epoch != expected {
+        if cp.epoch != inner.committed {
             return Err(PipelineError::CheckpointGap {
-                expected,
+                expected: inner.committed,
                 got: cp.epoch,
             });
         }
-        inner.push(cp);
+        inner.latest = Some(cp);
+        inner.committed += 1;
         Ok(())
     }
 
     /// Latest committed checkpoint, if any.
     pub fn latest(&self) -> Option<Checkpoint> {
-        self.inner.lock().last().cloned()
+        self.inner.lock().latest.clone()
     }
 
-    /// Number of committed checkpoints.
+    /// Number of checkpoints ever committed.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().committed as usize
     }
 
     /// True when nothing has been committed.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().committed == 0
     }
 }
 

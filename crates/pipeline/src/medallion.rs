@@ -16,7 +16,7 @@ use crate::expr::Expr;
 use crate::frame::Frame;
 use crate::ops::{Agg, AggSpec};
 use crate::plan::{PipelinePlan, Stage};
-use crate::state::{CellState, StateStore};
+use crate::state::{CellState, KeyId, StateStore};
 use crate::streaming::{Decoder, PartitionMap, Transform};
 use oda_faults::{FaultPoint, FaultSite};
 use oda_storage::colfile::ColumnData;
@@ -24,7 +24,6 @@ use oda_storage::intern::StringInterner;
 use oda_telemetry::jobs::Job;
 use oda_telemetry::record::{Device, Observation, Quality};
 use oda_telemetry::sensors::SensorCatalog;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -248,39 +247,148 @@ pub fn bronze_to_silver_plan(window_ms: i64, job_ctx: Frame) -> PipelinePlan {
         ))
 }
 
-/// Streaming Bronze→Silver transform: folds observations into
-/// per-(window, node, sensor) accumulators and emits rows for windows
-/// the watermark has closed. Output columns: `window` (I64), `node`
-/// (I64), `sensor` (Dict), `mean`/`min`/`max` (F64), `count` (I64).
+/// One Silver output row: a closed cell, or (`None`) the gap marker
+/// for a rostered key that was silent in a closed window.
+type SilverRow = (i64, KeyId, Option<CellState>);
+
+/// What a Silver transform remembers between batches about its state
+/// keys, `"{node}\u{1f}{sensor}"`: the key id each (node, sensor) pair
+/// was interned as, and the (node, sensor) each key id parses back to —
+/// so a key is rendered once and parsed once, not once per batch and
+/// once per emitted row.
 ///
-/// The event-time watermark survives recovery because it is kept in the
-/// checkpointed state (`wm_ms` counter). State keys stay in the
-/// `"{node}\u{1f}{sensor}"` format for checkpoint compatibility, but
-/// are rendered once per distinct (node, sensor code) per batch — the
-/// per-row path does not allocate.
-pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform {
-    Box::new(move |frame: Frame, state: &mut StateStore| {
+/// The memory is the transform's, the ids are the store's. Every entry
+/// holds the store's own `Arc` of the key it was made from and is used
+/// only while the store still has that same allocation under that id,
+/// so a transform handed another store (a test's fresh one, a restored
+/// one) re-derives instead of mislabelling.
+#[derive(Default)]
+struct SilverKeys {
+    sensors: StringInterner,
+    /// node -> its row of `by_pair`.
+    node_rows: HashMap<i64, usize>,
+    /// `[node row][code in sensors]`.
+    by_pair: Vec<NodeKeys>,
+    /// Key id -> the key it was parsed from and what it parsed to.
+    parsed: Vec<Option<ParsedKey>>,
+}
+
+/// One node's keys by sensor code: the rendered key and its id.
+type NodeKeys = Vec<Option<(KeyId, Arc<str>)>>;
+
+struct ParsedKey {
+    key: Arc<str>,
+    node: i64,
+    /// Code of the sensor name in `SilverKeys::sensors`.
+    sensor: u32,
+}
+
+/// True while `state` still has `key` — this allocation — under `id`.
+fn is_key_of(state: &StateStore, id: KeyId, key: &Arc<str>) -> bool {
+    state.key_name(id).is_some_and(|k| Arc::ptr_eq(k, key))
+}
+
+impl SilverKeys {
+    /// The (node, sensor) `id`'s key parses to.
+    fn node_and_sensor(
+        &mut self,
+        state: &StateStore,
+        id: KeyId,
+    ) -> Result<(i64, u32), PipelineError> {
+        if let Some(Some(p)) = self.parsed.get(id.index()) {
+            if is_key_of(state, id, &p.key) {
+                return Ok((p.node, p.sensor));
+            }
+        }
+        let bad = |what: &str| PipelineError::Decode(what.into());
+        let key = state.key_name(id).ok_or_else(|| bad("bad state key"))?;
+        let (node_s, sensor_s) = key
+            .split_once('\u{1f}')
+            .ok_or_else(|| bad("bad state key"))?;
+        let node = node_s.parse::<i64>().map_err(|_| bad("bad node"))?;
+        let sensor = self.sensors.intern(sensor_s);
+        if self.parsed.len() <= id.index() {
+            self.parsed.resize_with(id.index() + 1, || None);
+        }
+        self.parsed[id.index()] = Some(ParsedKey {
+            key: Arc::clone(key),
+            node,
+            sensor,
+        });
+        Ok((node, sensor))
+    }
+
+    /// Fold one merged Bronze frame into per-(window, node, sensor)
+    /// cells, in row order, and advance the checkpointed watermark
+    /// (`wm_ms` counter, so it survives recovery). Returns the close
+    /// horizon (cells of windows starting before it are final) and the
+    /// earliest window a row landed in (`i64::MAX` when none did).
+    ///
+    /// A key is rendered and interned — and `first_sight` called with it
+    /// — the first time this transform meets the pair in this store.
+    /// Every other row reaches its cell through `by_pair` (re-based by
+    /// one hash lookup whenever the node differs from the previous
+    /// row's) and then by key id: nothing on that path allocates or
+    /// reads a string.
+    fn fold(
+        &mut self,
+        frame: &Frame,
+        state: &mut StateStore,
+        window_ms: i64,
+        lateness_ms: i64,
+        mut first_sight: impl FnMut(&mut StateStore, &str),
+    ) -> Result<(i64, i64), PipelineError> {
         let ts = frame.i64s("ts_ms")?;
         let node = frame.i64s("node")?;
         let (dict, codes) = frame.cat("sensor")?.to_dict();
         let value = frame.f64s("value")?;
         let quality = frame.i64s("quality")?;
+        // This frame's dictionary code -> code in `self.sensors`.
+        let sensor_of: Vec<usize> = dict
+            .iter()
+            .map(|s| self.sensors.intern(s) as usize)
+            .collect();
         let mut max_ts = state.counter("wm_ms") as i64;
-        let mut key_cache: HashMap<(i64, u32), String> = HashMap::new();
+        let mut first_window = i64::MAX;
+        let mut current: Option<(i64, usize)> = None;
         for i in 0..frame.rows() {
             max_ts = max_ts.max(ts[i]);
             if quality[i] != 0 || value[i].is_nan() {
                 continue;
             }
             let window = ts[i].div_euclid(window_ms) * window_ms;
-            let key = key_cache
-                .entry((node[i], codes[i]))
-                .or_insert_with(|| format!("{}\u{1f}{}", node[i], &dict[codes[i] as usize]));
-            state.cell(window, key).push(value[i]);
+            first_window = first_window.min(window);
+            let row = match current {
+                Some((n, row)) if n == node[i] => row,
+                _ => {
+                    let row = *self.node_rows.entry(node[i]).or_insert_with(|| {
+                        self.by_pair.push(Vec::new());
+                        self.by_pair.len() - 1
+                    });
+                    current = Some((node[i], row));
+                    row
+                }
+            };
+            let sensor = sensor_of[codes[i] as usize];
+            let by_sensor = &mut self.by_pair[row];
+            if by_sensor.len() <= sensor {
+                by_sensor.resize(self.sensors.len(), None);
+            }
+            let id = match &by_sensor[sensor] {
+                Some((id, key)) if is_key_of(state, *id, key) => *id,
+                _ => {
+                    let key = format!("{}\u{1f}{}", node[i], dict[codes[i] as usize]);
+                    first_sight(state, &key);
+                    let id = state.key_id(&key);
+                    let key = state.key_name(id).expect("just interned");
+                    by_sensor[sensor] = Some((id, Arc::clone(key)));
+                    id
+                }
+            };
+            state.cell_at(window, id).push(value[i]);
         }
         // Persist watermark progress (monotonic, safe as u64: sim time
         // is non-negative).
-        let watermark = max_ts - lateness_ms;
         if max_ts > 0 {
             state.bump(
                 "wm_ms",
@@ -288,33 +396,43 @@ pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform
             );
         }
         // A window [w, w+width) is closed when watermark >= w + width.
-        let horizon = watermark - window_ms + 1;
-        let closed = state.drain_closed(horizon);
-        let mut w_col = Vec::with_capacity(closed.len());
-        let mut n_col = Vec::with_capacity(closed.len());
+        let watermark = max_ts - lateness_ms;
+        Ok((watermark - window_ms + 1, first_window))
+    }
+
+    /// The seven Silver columns for `rows`, in row order. Gap markers
+    /// carry NaN statistics and a zero count.
+    fn columns(
+        &mut self,
+        state: &StateStore,
+        rows: &[SilverRow],
+    ) -> Result<Vec<(String, ColumnData)>, PipelineError> {
+        let mut w_col = Vec::with_capacity(rows.len());
+        let mut n_col = Vec::with_capacity(rows.len());
+        let mut s_col = Vec::with_capacity(rows.len());
+        let mut mean_col = Vec::with_capacity(rows.len());
+        let mut min_col = Vec::with_capacity(rows.len());
+        let mut max_col = Vec::with_capacity(rows.len());
+        let mut c_col = Vec::with_capacity(rows.len());
+        // This frame's dictionary, in first-appearance order.
         let mut out_sensors = StringInterner::new();
-        let mut s_col = Vec::with_capacity(closed.len());
-        let mut mean_col = Vec::with_capacity(closed.len());
-        let mut min_col = Vec::with_capacity(closed.len());
-        let mut max_col = Vec::with_capacity(closed.len());
-        let mut c_col = Vec::with_capacity(closed.len());
-        for ((window, key), cell) in closed {
-            let (node_s, sensor_s) = key
-                .split_once('\u{1f}')
-                .ok_or_else(|| PipelineError::Decode("bad state key".into()))?;
+        let mut out_code: Vec<Option<u32>> = Vec::new();
+        for &(window, key, cell) in rows {
+            let (node, sensor) = self.node_and_sensor(state, key)?;
+            if out_code.len() <= sensor as usize {
+                out_code.resize(self.sensors.len(), None);
+            }
+            let name = self.sensors.get(sensor).expect("interned above");
+            let code = *out_code[sensor as usize].get_or_insert_with(|| out_sensors.intern(name));
             w_col.push(window);
-            n_col.push(
-                node_s
-                    .parse::<i64>()
-                    .map_err(|_| PipelineError::Decode("bad node".into()))?,
-            );
-            s_col.push(out_sensors.intern(sensor_s));
-            mean_col.push(cell.mean());
-            min_col.push(cell.min);
-            max_col.push(cell.max);
-            c_col.push(cell.count as i64);
+            n_col.push(node);
+            s_col.push(code);
+            mean_col.push(cell.map_or(f64::NAN, |c| c.mean()));
+            min_col.push(cell.map_or(f64::NAN, |c| c.min));
+            max_col.push(cell.map_or(f64::NAN, |c| c.max));
+            c_col.push(cell.map_or(0, |c| c.count as i64));
         }
-        Frame::new(vec![
+        Ok(vec![
             ("window".into(), ColumnData::I64(w_col.into())),
             ("node".into(), ColumnData::I64(n_col.into())),
             (
@@ -326,6 +444,28 @@ pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform
             ("max".into(), ColumnData::F64(max_col.into())),
             ("count".into(), ColumnData::I64(c_col.into())),
         ])
+    }
+}
+
+/// Streaming Bronze→Silver transform: folds observations into
+/// per-(window, node, sensor) accumulators and emits rows for windows
+/// the watermark has closed, ordered by window and then by state key
+/// bytes (so node `10` sorts before node `2`). Output columns: `window`
+/// (I64), `node` (I64), `sensor` (Dict), `mean`/`min`/`max` (F64),
+/// `count` (I64).
+///
+/// The event-time watermark survives recovery because it is kept in the
+/// checkpointed state (`wm_ms` counter).
+pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform {
+    let mut keys = SilverKeys::default();
+    Box::new(move |frame: Frame, state: &mut StateStore| {
+        let (horizon, _) = keys.fold(&frame, state, window_ms, lateness_ms, |_, _| {})?;
+        let rows: Vec<SilverRow> = state
+            .drain_closed(horizon)
+            .into_iter()
+            .map(|(window, key, cell)| (window, key, Some(cell)))
+            .collect();
+        Frame::new(keys.columns(state, &rows)?)
     })
 }
 
@@ -342,74 +482,44 @@ pub fn streaming_silver_transform(window_ms: i64, lateness_ms: i64) -> Transform
 /// (I64).
 pub fn streaming_silver_transform_gap_marked(window_ms: i64, lateness_ms: i64) -> Transform {
     const ROSTER_PREFIX: &str = "seen\u{1f}";
+    let mut keys = SilverKeys::default();
     Box::new(move |frame: Frame, state: &mut StateStore| {
-        let ts = frame.i64s("ts_ms")?;
-        let node = frame.i64s("node")?;
-        let (dict, codes) = frame.cat("sensor")?.to_dict();
-        let value = frame.f64s("value")?;
-        let quality = frame.i64s("quality")?;
-        let mut max_ts = state.counter("wm_ms") as i64;
-        let mut first_window = i64::MAX;
-        // Keys (and the roster check) are rendered once per distinct
-        // (node, sensor code) per batch; rows hit a code-indexed cache.
-        let mut key_cache: HashMap<(i64, u32), String> = HashMap::new();
-        for i in 0..frame.rows() {
-            max_ts = max_ts.max(ts[i]);
-            if quality[i] != 0 || value[i].is_nan() {
-                continue;
-            }
-            let window = ts[i].div_euclid(window_ms) * window_ms;
-            first_window = first_window.min(window);
-            let key = match key_cache.entry((node[i], codes[i])) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let key = format!("{}\u{1f}{}", node[i], &dict[codes[i] as usize]);
-                    let roster_key = format!("{ROSTER_PREFIX}{key}");
-                    if state.counter(&roster_key) == 0 {
-                        state.bump(&roster_key, 1);
-                    }
-                    e.insert(key)
+        let (horizon, first_window) =
+            keys.fold(&frame, state, window_ms, lateness_ms, |state, key| {
+                let roster_key = format!("{ROSTER_PREFIX}{key}");
+                if state.counter(&roster_key) == 0 {
+                    state.bump(&roster_key, 1);
                 }
-            };
-            state.cell(window, key).push(value[i]);
-        }
-        if max_ts > 0 {
-            state.bump(
-                "wm_ms",
-                (max_ts as u64).saturating_sub(state.counter("wm_ms")),
-            );
-        }
+            })?;
         // Gap cursor: next window start owed a full roster sweep, stored
         // +1 so 0 can mean "unset" (sim time is non-negative).
         if state.counter("gap_next") == 0 && (0..i64::MAX).contains(&first_window) {
             state.bump("gap_next", first_window as u64 + 1);
         }
-        let watermark = max_ts - lateness_ms;
-        let horizon = watermark - window_ms + 1;
-        let mut cells: BTreeMap<(i64, String), CellState> =
-            state.drain_closed(horizon).into_iter().collect();
+        let mut cells: BTreeMap<(i64, KeyId), CellState> = state
+            .drain_closed(horizon)
+            .into_iter()
+            .map(|(window, key, cell)| ((window, key), cell))
+            .collect();
         let last_closed = if horizon > 0 {
             (horizon - 1).div_euclid(window_ms) * window_ms
         } else {
             i64::MIN
         };
         // One row per (closed window, rostered key): real or gap marker.
-        let mut rows: Vec<(i64, String, CellState, i64)> = Vec::new();
+        let mut rows: Vec<SilverRow> = Vec::new();
         if state.counter("gap_next") > 0 && last_closed >= 0 {
-            let roster: Vec<String> = state
+            let roster: Vec<KeyId> = state
                 .counters_with_prefix(ROSTER_PREFIX)
                 .into_iter()
-                .map(|(k, _)| k[ROSTER_PREFIX.len()..].to_string())
+                .map(|(k, _)| state.key_id(&k[ROSTER_PREFIX.len()..]))
                 .collect();
-            let mut w = (state.counter("gap_next") - 1) as i64;
-            while w <= last_closed {
-                for key in &roster {
-                    match cells.remove(&(w, key.clone())) {
-                        Some(cell) => rows.push((w, key.clone(), cell, 0)),
-                        None => rows.push((w, key.clone(), CellState::new(), 1)),
-                    }
+            let mut window = (state.counter("gap_next") - 1) as i64;
+            while window <= last_closed {
+                for &key in &roster {
+                    rows.push((window, key, cells.remove(&(window, key))));
                 }
-                w += window_ms;
+                window += window_ms;
             }
             let next = (last_closed + window_ms) as u64 + 1;
             let bump = next.saturating_sub(state.counter("gap_next"));
@@ -417,55 +527,16 @@ pub fn streaming_silver_transform_gap_marked(window_ms: i64, lateness_ms: i64) -
         }
         // Cells drained outside the sweep (windows before the cursor)
         // still emit normally.
-        for ((w, key), cell) in cells {
-            rows.push((w, key, cell, 0));
-        }
-        rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let mut w_col = Vec::with_capacity(rows.len());
-        let mut n_col = Vec::with_capacity(rows.len());
-        let mut out_sensors = StringInterner::new();
-        let mut s_col = Vec::with_capacity(rows.len());
-        let mut mean_col = Vec::with_capacity(rows.len());
-        let mut min_col = Vec::with_capacity(rows.len());
-        let mut max_col = Vec::with_capacity(rows.len());
-        let mut c_col = Vec::with_capacity(rows.len());
-        let mut g_col = Vec::with_capacity(rows.len());
-        for (window, key, cell, gap) in rows {
-            let (node_s, sensor_s) = key
-                .split_once('\u{1f}')
-                .ok_or_else(|| PipelineError::Decode("bad state key".into()))?;
-            w_col.push(window);
-            n_col.push(
-                node_s
-                    .parse::<i64>()
-                    .map_err(|_| PipelineError::Decode("bad node".into()))?,
-            );
-            s_col.push(out_sensors.intern(sensor_s));
-            if gap == 1 {
-                mean_col.push(f64::NAN);
-                min_col.push(f64::NAN);
-                max_col.push(f64::NAN);
-            } else {
-                mean_col.push(cell.mean());
-                min_col.push(cell.min);
-                max_col.push(cell.max);
-            }
-            c_col.push(cell.count as i64);
-            g_col.push(gap);
-        }
-        Frame::new(vec![
-            ("window".into(), ColumnData::I64(w_col.into())),
-            ("node".into(), ColumnData::I64(n_col.into())),
-            (
-                "sensor".into(),
-                ColumnData::dict(out_sensors.into_dict(), s_col),
-            ),
-            ("mean".into(), ColumnData::F64(mean_col.into())),
-            ("min".into(), ColumnData::F64(min_col.into())),
-            ("max".into(), ColumnData::F64(max_col.into())),
-            ("count".into(), ColumnData::I64(c_col.into())),
-            ("gap".into(), ColumnData::I64(g_col.into())),
-        ])
+        rows.extend(
+            cells
+                .into_iter()
+                .map(|((w, key), cell)| (w, key, Some(cell))),
+        );
+        rows.sort_by(|a, b| (a.0, state.key_name(a.1)).cmp(&(b.0, state.key_name(b.1))));
+        let mut columns = keys.columns(state, &rows)?;
+        let gaps: Vec<i64> = rows.iter().map(|r| i64::from(r.2.is_none())).collect();
+        columns.push(("gap".into(), ColumnData::I64(gaps.into())));
+        Frame::new(columns)
     })
 }
 
@@ -695,6 +766,165 @@ mod tests {
             1,
             "roster (and thus gap detection) must survive recovery"
         );
+    }
+
+    #[test]
+    fn silver_rows_are_ordered_by_window_then_key_bytes() {
+        // Nodes 2, 10 and 100 arrive in numeric order; Silver must come
+        // out in state-key byte order ("10␟…" < "100␟…" < "2␟…", and
+        // "…inlet_temp_c" < "…power_w" within a node), window-major, and
+        // the sensor dictionary in first-appearance order.
+        let cat = tiny_catalog();
+        let mut batch = Vec::new();
+        for t in [0, 15_000, 30_000] {
+            for n in [2u32, 10, 100] {
+                batch.push(obs(t, n, 0, 1.0)); // node_power_w
+                batch.push(obs(t, n, 1, 2.0)); // node_inlet_temp_c
+            }
+        }
+        for gap_marked in [false, true] {
+            let mut transform = if gap_marked {
+                streaming_silver_transform_gap_marked(15_000, 0)
+            } else {
+                streaming_silver_transform(15_000, 0)
+            };
+            let out = transform(bronze_frame(&batch, &cat), &mut StateStore::new()).unwrap();
+            let sensors = out.cat("sensor").unwrap();
+            let rows: Vec<(i64, i64, &str)> = (0..out.rows())
+                .map(|i| {
+                    let (w, n) = (out.i64s("window").unwrap()[i], out.i64s("node").unwrap()[i]);
+                    (w, n, sensors.get(i))
+                })
+                .collect();
+            let mut want = Vec::new();
+            for w in [0, 15_000] {
+                for n in [10, 100, 2] {
+                    want.push((w, n, "node_inlet_temp_c"));
+                    want.push((w, n, "node_power_w"));
+                }
+            }
+            assert_eq!(rows, want, "gap_marked={gap_marked}");
+            let (dict, _) = sensors.to_dict();
+            assert_eq!(dict.as_ref(), ["node_inlet_temp_c", "node_power_w"]);
+        }
+    }
+
+    #[test]
+    fn silver_transform_survives_a_different_store() {
+        // The transform remembers what each key id parses to; a store
+        // that numbers keys differently must not be mislabelled by it.
+        let cat = tiny_catalog();
+        let mut transform = streaming_silver_transform(15_000, 0);
+        let first = vec![obs(0, 1, 0, 1.0), obs(0, 2, 0, 2.0), obs(20_000, 1, 0, 1.0)];
+        transform(bronze_frame(&first, &cat), &mut StateStore::new()).unwrap();
+        let second = vec![obs(0, 2, 0, 5.0), obs(0, 1, 0, 7.0), obs(20_000, 1, 0, 1.0)];
+        let out = transform(bronze_frame(&second, &cat), &mut StateStore::new()).unwrap();
+        assert_eq!(out.i64s("node").unwrap(), &[1, 2]);
+        assert_eq!(out.f64s("mean").unwrap(), &[7.0, 5.0]);
+    }
+
+    /// Disorder-shaped traffic: ticks arrive permuted, some late (inside
+    /// the lateness allowance, so two windows stay open) and some too
+    /// late (their window was already emitted, so the cell is re-created
+    /// and emitted again), with bad readings mixed in.
+    fn disorder_broker() -> Arc<Broker> {
+        let broker = Broker::new();
+        broker
+            .create_topic("bronze", 2, RetentionPolicy::unbounded())
+            .unwrap();
+        let arrival: Vec<i64> = (0..120)
+            .map(|t| match t % 10 {
+                3 => t - 25, // late
+                7 => t - 70, // too late
+                _ => t,
+            })
+            .filter(|t| *t >= 0)
+            .collect();
+        for (i, t) in arrival.into_iter().enumerate() {
+            let mut batch = Vec::new();
+            for n in [2u32, 10, 100] {
+                batch.push(obs(t * 1_000, n, 0, 100.0 + t as f64 / 3.0));
+                batch.push(Observation {
+                    quality: if (t + i64::from(n)) % 3 == 0 {
+                        Quality::Suspect
+                    } else {
+                        Quality::Good
+                    },
+                    ..obs(t * 1_000, n, 1, if t % 11 == 0 { f64::NAN } else { 20.5 })
+                });
+            }
+            let payload = Observation::encode_batch(&batch);
+            let key = Bytes::from(format!("shard-{}", i % 3));
+            broker
+                .produce("bronze", t * 1_000, Some(key), Bytes::from(payload))
+                .unwrap();
+        }
+        broker
+    }
+
+    #[test]
+    fn restart_at_every_epoch_boundary_reproduces_silver_bytes() {
+        use crate::frame_io::frame_to_colfile;
+        let cat = tiny_catalog();
+        let broker = disorder_broker();
+        let query = |group: &str, cps: &CheckpointStore, gap_marked: bool| {
+            StreamingQuery::builder()
+                .source(Consumer::subscribe(broker.clone(), group, "bronze").unwrap())
+                .decoder(observation_decoder(cat.clone()))
+                .transform(if gap_marked {
+                    streaming_silver_transform_gap_marked(20_000, 30_000)
+                } else {
+                    streaming_silver_transform(20_000, 30_000)
+                })
+                .checkpoints(cps.clone())
+                .max_records(7)
+                .workers(2)
+                .build()
+                .unwrap()
+        };
+        let silver_bytes = |sink: &MemorySink| -> Vec<Vec<u8>> {
+            sink.frames()
+                .into_iter()
+                .map(|f| frame_to_colfile(f).unwrap())
+                .collect()
+        };
+        for gap_marked in [false, true] {
+            let mut uninterrupted = MemorySink::new();
+            let cps = CheckpointStore::new();
+            let epochs = query(&format!("straight-{gap_marked}"), &cps, gap_marked)
+                .run_to_completion(&mut uninterrupted)
+                .unwrap();
+            assert!(epochs > 10, "the run must have epochs to restart at");
+            let want = silver_bytes(&uninterrupted);
+            let all = uninterrupted.concat().unwrap();
+            let sensors = all.cat("sensor").unwrap();
+            let cells: std::collections::BTreeSet<(i64, i64, &str)> = (0..all.rows())
+                .map(|i| {
+                    let (w, n) = (all.i64s("window").unwrap()[i], all.i64s("node").unwrap()[i]);
+                    (w, n, sensors.get(i))
+                })
+                .collect();
+            assert!(
+                cells.len() < all.rows(),
+                "too-late records must re-emit a window"
+            );
+            // One run that is torn down and rebuilt from its checkpoint
+            // after every single epoch.
+            let mut restarted = MemorySink::new();
+            let cps = CheckpointStore::new();
+            let mut max_live = 0;
+            loop {
+                let mut q = query(&format!("restarted-{gap_marked}"), &cps, gap_marked);
+                let consumed = q.run_once(&mut restarted).unwrap();
+                max_live = max_live.max(q.state().len());
+                if consumed == 0 {
+                    break;
+                }
+            }
+            assert!(max_live > 6, "6 keys: more cells means two open windows");
+            assert_eq!(cps.len(), epochs);
+            assert_eq!(silver_bytes(&restarted), want, "gap_marked={gap_marked}");
+        }
     }
 
     #[test]

@@ -687,6 +687,33 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_latest_checkpoint_fails_build_with_a_typed_error() {
+        let b = broker_with(&[1.0, 2.0, 3.0, 4.0]);
+        let cps = CheckpointStore::new();
+        query(&b, &cps, 2).run_once(&mut MemorySink::new()).unwrap();
+        let good = cps.latest().unwrap();
+        // The same checkpoint with one state bit flipped, and a state
+        // snapshot in a format this build does not read.
+        let mut flipped = good.state.clone();
+        flipped[good.state.len() / 2] ^= 0x10;
+        for state in [flipped, br#"{"cells":[],"counters":{}}"#.to_vec()] {
+            let cps = CheckpointStore::new();
+            cps.commit(Checkpoint {
+                state,
+                ..good.clone()
+            });
+            let err = StreamingQuery::builder()
+                .source(Consumer::subscribe(b.clone(), "q", "vals").unwrap())
+                .decoder(decoder())
+                .transform(summing_transform())
+                .checkpoints(cps)
+                .build()
+                .unwrap_err();
+            assert_eq!(err, PipelineError::Decode("corrupt state snapshot".into()));
+        }
+    }
+
+    #[test]
     fn crash_between_sink_and_checkpoint_is_exactly_once() {
         let b = broker_with(&[1.0, 2.0, 3.0, 4.0]);
         let cps = CheckpointStore::new();
