@@ -5,10 +5,9 @@
 //! deterministic workloads they share.
 
 use oda_pipeline::frame::Frame;
-use oda_pipeline::medallion::{bronze_frame, device_label};
-use oda_storage::colfile::ColumnData;
+use oda_pipeline::medallion::bronze_frame;
 use oda_telemetry::jobs::{ApplicationArchetype, Job};
-use oda_telemetry::record::{Observation, Quality};
+use oda_telemetry::record::Observation;
 use oda_telemetry::sensors::SensorCatalog;
 use oda_telemetry::system::SystemModel;
 use oda_telemetry::TelemetryGenerator;
@@ -34,45 +33,6 @@ pub fn bronze_with_rows(seed: u64, rows: usize) -> Frame {
     );
     obs.truncate(rows);
     bronze_frame(&obs, &catalog)
-}
-
-/// The pre-dictionary Bronze builder, kept as a benchmark baseline: it
-/// materializes `device` and `sensor` as per-row `String`s exactly like
-/// `bronze_frame` did before the categorical columns became
-/// dictionary-encoded. Logically equal to [`bronze_frame`] output.
-pub fn bronze_frame_str(obs: &[Observation], catalog: &SensorCatalog) -> Frame {
-    let mut ts = Vec::with_capacity(obs.len());
-    let mut node = Vec::with_capacity(obs.len());
-    let mut device = Vec::with_capacity(obs.len());
-    let mut sensor = Vec::with_capacity(obs.len());
-    let mut value = Vec::with_capacity(obs.len());
-    let mut quality = Vec::with_capacity(obs.len());
-    for o in obs {
-        ts.push(o.ts_ms);
-        node.push(i64::from(o.component.node));
-        device.push(device_label(o.component.device));
-        sensor.push(
-            catalog
-                .get(o.sensor)
-                .map(|s| s.name.clone())
-                .unwrap_or_else(|| format!("s{}", o.sensor)),
-        );
-        value.push(o.value);
-        quality.push(match o.quality {
-            Quality::Good => 0i64,
-            Quality::Missing => 1,
-            Quality::Suspect => 2,
-        });
-    }
-    Frame::new(vec![
-        ("ts_ms".into(), ColumnData::I64(ts.into())),
-        ("node".into(), ColumnData::I64(node.into())),
-        ("device".into(), ColumnData::Str(device.into())),
-        ("sensor".into(), ColumnData::Str(sensor.into())),
-        ("value".into(), ColumnData::F64(value.into())),
-        ("quality".into(), ColumnData::I64(quality.into())),
-    ])
-    .expect("equal-length columns by construction")
 }
 
 /// A synthetic job for workload builders.
@@ -105,30 +65,6 @@ pub fn job_fleet(n: usize, users: u32, node_pool: u32, span_ms: i64) -> Vec<Job>
         .collect()
 }
 
-/// A Silver-like long frame: (window, node, sensor, mean) rows for
-/// `windows` windows x `nodes` nodes of the node_power_w sensor.
-pub fn silver_long(windows: usize, nodes: u32) -> Frame {
-    let mut w = Vec::new();
-    let mut n = Vec::new();
-    let mut s = Vec::new();
-    let mut m = Vec::new();
-    for wi in 0..windows {
-        for node in 0..nodes {
-            w.push(wi as i64 * 15_000);
-            n.push(i64::from(node));
-            s.push("node_power_w".to_string());
-            m.push(600.0 + (wi as f64 * 0.31).sin() * 100.0 + f64::from(node));
-        }
-    }
-    Frame::new(vec![
-        ("window".into(), ColumnData::I64(w.into())),
-        ("node".into(), ColumnData::I64(n.into())),
-        ("sensor".into(), ColumnData::Str(s.into())),
-        ("mean".into(), ColumnData::F64(m.into())),
-    ])
-    .expect("columns align")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,17 +78,5 @@ mod tests {
         assert!(jobs
             .iter()
             .all(|j| !j.nodes.is_empty() && j.end_ms > j.start_ms));
-        let s = silver_long(10, 4);
-        assert_eq!(s.rows(), 40);
-    }
-
-    #[test]
-    fn str_baseline_is_logically_equal_to_dict_bronze() {
-        let (catalog, obs) = tiny_observations(7, 4);
-        let dict = bronze_frame(&obs, &catalog);
-        let str_ = bronze_frame_str(&obs, &catalog);
-        assert!(dict.dict("sensor").is_ok());
-        assert!(str_.strs("sensor").is_ok());
-        assert_eq!(dict, str_);
     }
 }

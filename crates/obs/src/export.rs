@@ -13,8 +13,8 @@
 //! * [`export_jsonl`] is **self-describing**: one JSON object per
 //!   event, every field of [`TraceEvent`] including `dur_ns`. The
 //!   serialization of a given journal is deterministic (fixed field
-//!   order, integer-only values, stable escaping) and round-trips
-//!   losslessly through [`parse_jsonl`]; the wall-clock durations make
+//!   order, integer-only values, stable escaping) and every line is
+//!   valid JSON for any standard parser; the wall-clock durations make
 //!   it per-run, not byte-pinned across runs.
 //!
 //! Both exporters consume events in canonical order (they re-sort
@@ -26,9 +26,7 @@
 //! the slowest chain, and [`render_span_tree`] pretty-prints a tree for
 //! operator consumption.
 
-use std::fmt;
-
-use crate::trace::{trace_id, TraceEvent, TraceEventKind, TraceId, TraceSpanId, Tracer};
+use crate::trace::{trace_id, TraceEvent, TraceEventKind, TraceId, Tracer};
 
 /// Logical width of a leaf span in the Chrome layout, in microseconds.
 pub const TICK: u64 = 1_000;
@@ -302,12 +300,12 @@ fn category(kind: &TraceEventKind) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL export + parse (lossless round trip).
+// JSONL export.
 // ---------------------------------------------------------------------------
 
 /// Serialize events as self-describing JSONL: one canonical JSON object
 /// per line, fixed field order, all [`TraceEvent`] fields including
-/// `dur_ns`. Round-trips losslessly through [`parse_jsonl`].
+/// `dur_ns`.
 pub fn export_jsonl(events: &[TraceEvent]) -> String {
     let mut events = events.to_vec();
     events.sort_by_key(TraceEvent::sort_key);
@@ -335,391 +333,6 @@ pub fn export_jsonl(events: &[TraceEvent]) -> String {
         out.push_str("}\n");
     }
     out
-}
-
-/// An export/parse failure (malformed JSONL, unknown kind, bad field).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExportError(String);
-
-impl fmt::Display for ExportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace export: {}", self.0)
-    }
-}
-
-impl std::error::Error for ExportError {}
-
-fn err<T>(msg: impl Into<String>) -> Result<T, ExportError> {
-    Err(ExportError(msg.into()))
-}
-
-/// A parsed JSON value — just enough of the grammar for trace lines.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    U64(u64),
-    I64(i64),
-    Bool(bool),
-    Null,
-    Obj(Vec<(String, Value)>),
-}
-
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser {
-    fn new(s: &str) -> Self {
-        Self {
-            chars: s.chars().collect(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<char, ExportError> {
-        let c = self
-            .peek()
-            .ok_or_else(|| ExportError("unexpected end".into()))?;
-        self.pos += 1;
-        Ok(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), ExportError> {
-        let got = self.bump()?;
-        if got != want {
-            return err(format!("expected {want:?}, got {got:?}"));
-        }
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Value, ExportError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('{') => self.object(),
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some('t') => self.literal("true", Value::Bool(true)),
-            Some('f') => self.literal("false", Value::Bool(false)),
-            Some('n') => self.literal("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => err(format!("unexpected {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, ExportError> {
-        for want in word.chars() {
-            self.expect(want)?;
-        }
-        Ok(v)
-    }
-
-    fn object(&mut self) -> Result<Value, ExportError> {
-        self.expect('{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump()? {
-                ',' => continue,
-                '}' => return Ok(Value::Obj(fields)),
-                c => return err(format!("expected ',' or '}}', got {c:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ExportError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                '"' => return Ok(out),
-                '\\' => match self.bump()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'b' => out.push('\u{0008}'),
-                    'f' => out.push('\u{000C}'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let hi = self.hex4()?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair.
-                            self.expect('\\')?;
-                            self.expect('u')?;
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return err("bad low surrogate");
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| ExportError("bad \\u".into()))?,
-                        );
-                    }
-                    c => return err(format!("bad escape {c:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ExportError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let c = self.bump()?;
-            v = v * 16
-                + c.to_digit(16)
-                    .ok_or_else(|| ExportError(format!("bad hex digit {c:?}")))?;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, ExportError> {
-        let neg = self.peek() == Some('-');
-        if neg {
-            self.pos += 1;
-        }
-        let mut mag: u128 = 0;
-        let mut digits = 0;
-        while let Some(c) = self.peek() {
-            let Some(d) = c.to_digit(10) else { break };
-            mag = mag
-                .checked_mul(10)
-                .and_then(|m| m.checked_add(u128::from(d)))
-                .ok_or_else(|| ExportError("number overflow".into()))?;
-            digits += 1;
-            self.pos += 1;
-        }
-        if digits == 0 {
-            return err("empty number");
-        }
-        if neg {
-            if mag > i64::MAX as u128 + 1 {
-                return err("i64 underflow");
-            }
-            Ok(Value::I64((mag as i128).wrapping_neg() as i64))
-        } else if mag <= u64::MAX as u128 {
-            Ok(Value::U64(mag as u64))
-        } else {
-            err("u64 overflow")
-        }
-    }
-}
-
-fn get<'v>(obj: &'v [(String, Value)], key: &str) -> Result<&'v Value, ExportError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| ExportError(format!("missing field {key:?}")))
-}
-
-fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, ExportError> {
-    match get(obj, key)? {
-        Value::U64(v) => Ok(*v),
-        other => err(format!("field {key:?}: expected u64, got {other:?}")),
-    }
-}
-
-fn get_i64(obj: &[(String, Value)], key: &str) -> Result<i64, ExportError> {
-    match get(obj, key)? {
-        Value::I64(v) => Ok(*v),
-        Value::U64(v) if *v <= i64::MAX as u64 => Ok(*v as i64),
-        other => err(format!("field {key:?}: expected i64, got {other:?}")),
-    }
-}
-
-fn get_str(obj: &[(String, Value)], key: &str) -> Result<String, ExportError> {
-    match get(obj, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => err(format!("field {key:?}: expected string, got {other:?}")),
-    }
-}
-
-fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, ExportError> {
-    match get(obj, key)? {
-        Value::Bool(b) => Ok(*b),
-        other => err(format!("field {key:?}: expected bool, got {other:?}")),
-    }
-}
-
-fn get_id(obj: &[(String, Value)], key: &str) -> Result<u64, ExportError> {
-    let s = get_str(obj, key)?;
-    u64::from_str_radix(&s, 16).map_err(|_| ExportError(format!("field {key:?}: bad hex id")))
-}
-
-fn kind_from(name: &str, args: &[(String, Value)]) -> Result<TraceEventKind, ExportError> {
-    Ok(match name {
-        "produce" => TraceEventKind::Produce {
-            topic: get_str(args, "topic")?,
-            partition: get_u64(args, "partition")?,
-            offset: get_u64(args, "offset")?,
-            bytes: get_u64(args, "bytes")?,
-        },
-        "retention_sweep" => TraceEventKind::RetentionSweep {
-            topic: get_str(args, "topic")?,
-            dropped: get_u64(args, "dropped")?,
-        },
-        "epoch" => TraceEventKind::Epoch {
-            records: get_u64(args, "records")?,
-            partitions: get_u64(args, "partitions")?,
-            watermark_ms: get_i64(args, "watermark_ms")?,
-        },
-        "partition" => TraceEventKind::Partition {
-            partition: get_u64(args, "partition")?,
-            records: get_u64(args, "records")?,
-        },
-        "fetch" => TraceEventKind::PartitionFetch {
-            topic: get_str(args, "topic")?,
-            partition: get_u64(args, "partition")?,
-            from: get_u64(args, "from")?,
-            to: get_u64(args, "to")?,
-            records: get_u64(args, "records")?,
-        },
-        "decode" => TraceEventKind::PartitionDecode {
-            partition: get_u64(args, "partition")?,
-            rows: get_u64(args, "rows")?,
-        },
-        "transform" => TraceEventKind::Transform {
-            rows_in: get_u64(args, "rows_in")?,
-            rows_out: get_u64(args, "rows_out")?,
-        },
-        "sink" => TraceEventKind::SinkWrite {
-            rows: get_u64(args, "rows")?,
-        },
-        "checkpoint" => TraceEventKind::Checkpoint {
-            epoch: get_u64(args, "epoch")?,
-        },
-        "ocean_put" => TraceEventKind::OceanPut {
-            bucket: get_str(args, "bucket")?,
-            key: get_str(args, "key")?,
-            bytes: get_u64(args, "bytes")?,
-        },
-        "ocean_get" => TraceEventKind::OceanGet {
-            bucket: get_str(args, "bucket")?,
-            key: get_str(args, "key")?,
-            bytes: get_u64(args, "bytes")?,
-        },
-        "lake_insert" => TraceEventKind::LakeInsert {
-            series: get_str(args, "series")?,
-            points: get_u64(args, "points")?,
-        },
-        "lifecycle" => TraceEventKind::Lifecycle {
-            artifact: get_str(args, "artifact")?,
-            action: get_str(args, "action")?,
-            tier: get_str(args, "tier")?,
-            bytes: get_u64(args, "bytes")?,
-        },
-        "fault_injected" => TraceEventKind::FaultInjected {
-            site: get_str(args, "site")?,
-            kind: get_str(args, "kind")?,
-        },
-        "retry" => TraceEventKind::Retry {
-            op: get_str(args, "op")?,
-            attempts: get_u64(args, "attempts")?,
-            gave_up: get_bool(args, "gave_up")?,
-        },
-        "replica_fetch" => TraceEventKind::ReplicaFetch {
-            topic: get_str(args, "topic")?,
-            partition: get_u64(args, "partition")?,
-            node: get_u64(args, "node")?,
-            from: get_u64(args, "from")?,
-            to: get_u64(args, "to")?,
-            records: get_u64(args, "records")?,
-            isr: get_bool(args, "isr")?,
-        },
-        "leader_elected" => TraceEventKind::LeaderElected {
-            topic: get_str(args, "topic")?,
-            partition: get_u64(args, "partition")?,
-            from_node: get_u64(args, "from_node")?,
-            to_node: get_u64(args, "to_node")?,
-        },
-        "isr_change" => TraceEventKind::IsrChange {
-            topic: get_str(args, "topic")?,
-            partition: get_u64(args, "partition")?,
-            node: get_u64(args, "node")?,
-            joined: get_bool(args, "joined")?,
-        },
-        "plan_executed" => TraceEventKind::PlanExecuted {
-            query: get_str(args, "query")?,
-            rows_out: get_u64(args, "rows_out")?,
-            chunks_read: get_u64(args, "chunks_read")?,
-            chunks_pruned: get_u64(args, "chunks_pruned")?,
-            index_hits: get_u64(args, "index_hits")?,
-            groups: get_str(args, "groups")?,
-        },
-        "alert_fired" => TraceEventKind::AlertFired {
-            detector: get_str(args, "detector")?,
-            severity: get_str(args, "severity")?,
-            sensor: get_str(args, "sensor")?,
-            node: get_i64(args, "node")?,
-            window_ms: get_i64(args, "window_ms")?,
-        },
-        other => return err(format!("unknown event kind {other:?}")),
-    })
-}
-
-/// Parse [`export_jsonl`] output back into events. Lossless: for any
-/// journal `j`, `parse_jsonl(&export_jsonl(&j)) == Ok(j)` (in canonical
-/// order). Blank lines are skipped.
-pub fn parse_jsonl(input: &str) -> Result<Vec<TraceEvent>, ExportError> {
-    let mut out = Vec::new();
-    for (lineno, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut p = Parser::new(line);
-        let Value::Obj(obj) = p
-            .value()
-            .map_err(|e| ExportError(format!("line {}: {e}", lineno + 1)))?
-        else {
-            return err(format!("line {}: not an object", lineno + 1));
-        };
-        let parent = match get(&obj, "parent")? {
-            Value::Null => None,
-            Value::Str(s) => Some(TraceSpanId(
-                u64::from_str_radix(s, 16).map_err(|_| ExportError("bad parent id".into()))?,
-            )),
-            other => return err(format!("parent: expected hex id or null, got {other:?}")),
-        };
-        let Value::Obj(args) = get(&obj, "args")? else {
-            return err(format!("line {}: args is not an object", lineno + 1));
-        };
-        out.push(TraceEvent {
-            trace: TraceId(get_id(&obj, "trace")?),
-            span: TraceSpanId(get_id(&obj, "span")?),
-            parent,
-            scope: get_u64(&obj, "scope")?,
-            ctx: get_u64(&obj, "ctx")?,
-            seq: get_u64(&obj, "seq")?,
-            dur_ns: get_u64(&obj, "dur_ns")?,
-            kind: kind_from(&get_str(&obj, "kind")?, args)?,
-        });
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,17 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips() {
-        let events = sample_events();
-        let text = export_jsonl(&events);
-        let parsed = parse_jsonl(&text).expect("parse back");
-        let mut canonical = events;
-        canonical.sort_by_key(TraceEvent::sort_key);
-        assert_eq!(parsed, canonical);
-    }
-
-    #[test]
-    fn plan_executed_round_trips_and_categorizes_as_pipeline() {
+    fn plan_executed_exports_and_categorizes_as_pipeline() {
         let t = trace_id("query", crate::trace::SERVICE_TRACE);
         let kind = TraceEventKind::PlanExecuted {
             query: "scan(bronze)".into(),
@@ -1111,11 +714,10 @@ mod tests {
         assert!(text.contains("\"kind\":\"plan_executed\""));
         assert!(text.contains("\"chunks_pruned\":10"));
         assert!(text.contains("\"groups\":\"0,2,5\""));
-        assert_eq!(parse_jsonl(&text).expect("parse back"), events);
     }
 
     #[test]
-    fn alert_fired_round_trips_and_categorizes_as_analytics() {
+    fn alert_fired_exports_and_categorizes_as_analytics() {
         let t = trace_id("online", 4);
         let kind = TraceEventKind::AlertFired {
             detector: "zscore".into(),
@@ -1140,11 +742,10 @@ mod tests {
         assert!(text.contains("\"kind\":\"alert_fired\""));
         assert!(text.contains("\"node\":-1"));
         assert!(text.contains("\"window_ms\":45000"));
-        assert_eq!(parse_jsonl(&text).expect("parse back"), events);
     }
 
     #[test]
-    fn replication_kinds_round_trip_and_categorize_as_stream() {
+    fn replication_kinds_export_and_categorize_as_stream() {
         let t = trace_id("cluster", crate::trace::SERVICE_TRACE);
         let kinds = [
             TraceEventKind::ReplicaFetch {
@@ -1191,17 +792,6 @@ mod tests {
         assert!(text.contains("\"kind\":\"replica_fetch\""));
         assert!(text.contains("\"isr\":true"));
         assert!(text.contains("\"joined\":false"));
-        let parsed = parse_jsonl(&text).expect("parse back");
-        let mut canonical = events;
-        canonical.sort_by_key(TraceEvent::sort_key);
-        assert_eq!(parsed, canonical);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse_jsonl("not json").is_err());
-        assert!(parse_jsonl("{\"trace\":\"zz\"}").is_err());
-        assert!(parse_jsonl("{}").is_err());
     }
 
     #[test]

@@ -947,6 +947,52 @@ mod tests {
         assert_eq!(stream.rate, 500);
     }
 
+    /// The windowed engine keeps a bounded ring of snapshots; its report
+    /// at every tick must equal what a fresh engine computes by
+    /// replaying the whole history up to that tick — including after
+    /// the ring has started evicting (history longer than the long
+    /// window).
+    #[test]
+    fn incremental_tick_matches_replay_from_scratch() {
+        let history: Vec<MetricsSnapshot> = (1..=70u64)
+            .map(|t| {
+                let mut snap = snap_with(&[("pipeline_epochs_total", t)]);
+                for s in 0..3u64 {
+                    let labels = vec![("worker".to_string(), format!("w{s}"))];
+                    for (name, v) in [
+                        ("stream_produce_records_total", t * (100 + s)),
+                        ("stream_fetch_records_total", t * (90 + s)),
+                        // A slow error drip so burn math has numerators.
+                        ("retry_exhausted_total", t / 20 + s / 2),
+                    ] {
+                        snap.counters.insert((name.to_string(), labels.clone()), v);
+                    }
+                    snap.gauges.insert(
+                        ("stream_consumer_lag".to_string(), labels),
+                        ((t * 13 + s * 7) % 500) as i64,
+                    );
+                }
+                snap
+            })
+            .collect();
+        let mut incremental = HealthEngine::with_defaults();
+        for (t, snap) in history.iter().enumerate() {
+            let report = incremental.observe_snapshot(snap.clone());
+            let mut replay = HealthEngine::with_defaults();
+            let mut replayed = HealthReport::empty();
+            for snap in &history[..=t] {
+                replayed = replay.observe_snapshot(snap.clone());
+            }
+            assert_eq!(
+                render_health_json(&report),
+                render_health_json(&replayed),
+                "tick {}",
+                t + 1
+            );
+        }
+        assert!(history.len() > incremental.window_long + 1, "ring evicted");
+    }
+
     #[test]
     fn scrapes_do_not_advance_time() {
         let mut eng = HealthEngine::with_defaults();

@@ -60,8 +60,7 @@ pub mod span;
 pub mod trace;
 
 pub use export::{
-    critical_path, export_chrome_trace, export_jsonl, parse_jsonl, render_span_tree, span_tree,
-    ExportError, SpanNode,
+    critical_path, export_chrome_trace, export_jsonl, render_span_tree, span_tree, SpanNode,
 };
 pub use health::{
     default_objectives, render_health_json, HealthEngine, HealthReport, MetricsSnapshot,

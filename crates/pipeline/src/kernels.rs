@@ -5,7 +5,7 @@
 //! masks, grouped aggregation — funnels through this module instead of
 //! living as a private loop in its consumer, so there is exactly one
 //! place where the access pattern is tuned. The kernel contract
-//! (DESIGN.md §14):
+//! (DESIGN.md §13):
 //!
 //! * Kernels take plain slices (`&[T]`, `&[bool]`, `&[u32]` codes) and
 //!   return owned `Vec`s or mutate a caller-provided mask in place —

@@ -14,7 +14,7 @@
 //! | `/trace/critical-path` | heaviest span chain (`?query=&epoch=`)|
 //! | `/lineage/digest/<d>`  | ancestor/descendant walks of a digest |
 //! | `/alerts`              | online-detector alerts (JSONL)        |
-//! | `/bench`               | perf trajectory (JSON)                |
+//! | `/bench`               | benchmark contract (JSON)             |
 //!
 //! # Determinism
 //!

@@ -21,7 +21,7 @@ use crate::http::{
     CONTENT_TYPE_TEXT,
 };
 
-/// A lazily-evaluated text surface (alerts tail, bench trajectory):
+/// A lazily-evaluated text surface (alerts tail, benchmark contract):
 /// called per request so the body reflects current state.
 pub type Provider = Arc<dyn Fn() -> String + Send + Sync>;
 
@@ -95,7 +95,7 @@ impl Endpoints {
     }
 
     /// Serve `GET /bench` from a provider (typically the committed
-    /// perf-trajectory JSON).
+    /// `BENCHMARK.json` contract `odabench` runs against).
     pub fn with_bench(mut self, provider: Provider) -> Self {
         self.bench = Some(provider);
         self
@@ -231,7 +231,7 @@ impl Endpoints {
                 self.alerts.is_some(),
             ),
             (
-                "/bench                perf trajectory (JSON)",
+                "/bench                benchmark contract (JSON)",
                 self.bench.is_some(),
             ),
         ];

@@ -9,7 +9,7 @@
 //! that used to hold a `&Vec<T>` keeps compiling against `&Buffer<T>`
 //! unchanged.
 //!
-//! Ownership rules (DESIGN.md §14):
+//! Ownership rules (DESIGN.md §13):
 //! * **Views never mutate.** A buffer is immutable while shared; the
 //!   only mutation path is [`Buffer::make_mut`], which returns
 //!   `&mut Vec<T>` — directly when this handle is the unique owner of

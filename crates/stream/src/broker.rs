@@ -80,6 +80,12 @@ impl Broker {
         if topics.contains_key(name) {
             return Err(StreamError::TopicExists(name.to_string()));
         }
+        if partitions == 0 {
+            return Err(StreamError::UnknownPartition {
+                topic: name.to_string(),
+                partition: 0,
+            });
+        }
         topics.insert(
             name.to_string(),
             Arc::new(Topic::new(name, partitions, policy)),
@@ -312,6 +318,20 @@ mod tests {
             b.topic("missing"),
             Err(StreamError::UnknownTopic(_))
         ));
+    }
+
+    #[test]
+    fn zero_partition_topic_is_a_typed_error() {
+        // Used to panic on `Topic::new`'s assert.
+        let b = Broker::new();
+        assert_eq!(
+            b.create_topic("a", 0, RetentionPolicy::unbounded()),
+            Err(StreamError::UnknownPartition {
+                topic: "a".into(),
+                partition: 0
+            })
+        );
+        assert!(b.topic_names().is_empty());
     }
 
     #[test]

@@ -39,6 +39,7 @@ use crate::metrics::StreamMetrics;
 use crate::partition::Partition;
 use crate::record::Record;
 use crate::retention::RetentionPolicy;
+use crate::topic::partition_for;
 use bytes::Bytes;
 use oda_faults::{FaultKind, FaultPoint, FaultSite};
 use oda_obs::{
@@ -83,24 +84,6 @@ struct ClusterTopic {
     name: String,
     parts: Vec<Mutex<PartitionState>>,
     rr: Mutex<u32>,
-}
-
-impl ClusterTopic {
-    /// Pick a partition exactly like [`crate::topic::Topic::partition_for`]:
-    /// FNV-1a of the key, round-robin when keyless. Identical placement
-    /// is what makes cluster output byte-identical to a single broker's.
-    fn partition_for(&self, key: Option<&[u8]>) -> u32 {
-        let n = self.parts.len() as u32;
-        match key {
-            Some(k) => (fnv1a(k) % u64::from(n)) as u32,
-            None => {
-                let mut rr = self.rr.lock();
-                let p = *rr % n;
-                *rr = rr.wrapping_add(1);
-                p
-            }
-        }
-    }
 }
 
 /// A replicated, sharded broker cluster (the multi-node STREAM tier).
@@ -204,6 +187,12 @@ impl Cluster {
         if topics.contains_key(name) {
             return Err(StreamError::TopicExists(name.to_string()));
         }
+        if partitions == 0 {
+            return Err(StreamError::UnknownPartition {
+                topic: name.to_string(),
+                partition: 0,
+            });
+        }
         let parts = (0..partitions)
             .map(|p| {
                 let replicas = Cluster::placement(name, p, self.nodes, self.replication);
@@ -297,7 +286,7 @@ impl Cluster {
             });
         }
         let size = 16 + key.as_ref().map_or(0, |k| k.len()) + value.len();
-        let partition = t.partition_for(key.as_deref());
+        let partition = partition_for(key.as_deref(), t.parts.len() as u32, &t.rr);
         self.check_leader_crash(&t, partition)?;
         let mut st = Cluster::part(&t, partition)?.lock();
         let leader = st.leader;
@@ -1059,6 +1048,24 @@ mod tests {
         assert!(matches!(
             c.create_topic("t", 1, RetentionPolicy::unbounded()),
             Err(StreamError::TopicExists(_))
+        ));
+    }
+
+    #[test]
+    fn zero_partition_topic_is_a_typed_error() {
+        // Used to succeed, then panic with a remainder-by-zero on the
+        // first keyed produce.
+        let c = Cluster::new(3, 2);
+        assert_eq!(
+            c.create_topic("t", 0, RetentionPolicy::unbounded()),
+            Err(StreamError::UnknownPartition {
+                topic: "t".into(),
+                partition: 0
+            })
+        );
+        assert!(matches!(
+            c.produce("t", 0, Some(Bytes::from_static(b"k")), Bytes::new()),
+            Err(StreamError::UnknownTopic(_))
         ));
     }
 }

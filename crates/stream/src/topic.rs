@@ -5,7 +5,25 @@ use crate::partition::Partition;
 use crate::record::Record;
 use crate::retention::RetentionPolicy;
 use bytes::Bytes;
+use oda_obs::fnv1a;
 use parking_lot::Mutex;
+
+/// The stack's one partitioner, shared by [`Topic`] and the cluster:
+/// FNV-1a of the key modulo `partitions`; keyless records take the
+/// round-robin cursor `rr`. Placement is part of the stored format —
+/// per-key order, and any state sharded by partition, depends on a key
+/// always landing where it did before.
+pub(crate) fn partition_for(key: Option<&[u8]>, partitions: u32, rr: &Mutex<u32>) -> u32 {
+    match key {
+        Some(k) => (fnv1a(k) % u64::from(partitions)) as u32,
+        None => {
+            let mut rr = rr.lock();
+            let p = *rr % partitions;
+            *rr = rr.wrapping_add(1);
+            p
+        }
+    }
+}
 
 /// A named stream split into independently ordered partitions.
 #[derive(Debug)]
@@ -42,22 +60,7 @@ impl Topic {
     /// Stable FNV-1a key hash -> partition index; keyless records go
     /// round-robin.
     pub fn partition_for(&self, key: Option<&[u8]>) -> u32 {
-        match key {
-            Some(k) => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for &b in k {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (h % self.partitions.len() as u64) as u32
-            }
-            None => {
-                let mut rr = self.rr.lock();
-                let p = *rr % self.partitions.len() as u32;
-                *rr = rr.wrapping_add(1);
-                p
-            }
-        }
+        partition_for(key, self.partition_count(), &self.rr)
     }
 
     /// Append to the partition chosen by the key; returns (partition, offset).
@@ -138,6 +141,33 @@ mod tests {
             partitions.insert(p);
         }
         assert_eq!(partitions.len(), 1, "key must map to a stable partition");
+    }
+
+    #[test]
+    fn key_placement_is_pinned() {
+        // Literal values: a re-keyed or re-hashed topic must fail here,
+        // not silently move keys between partitions.
+        let table: [(&[u8], u32, u32); 11] = [
+            (b"", 1, 0),
+            (b"", 8, 5),
+            (b"all", 2, 0),
+            (b"k0", 2, 0),
+            (b"k1", 2, 1),
+            (b"node-42", 3, 2),
+            (b"node-42", 8, 2),
+            (b"shard-0", 8, 6),
+            (b"shard-7", 8, 7),
+            (&[0xff, 0x00, 0x80], 5, 0),
+            ("é☃".as_bytes(), 16, 0),
+        ];
+        for (key, partitions, want) in table {
+            let t = Topic::new("pinned", partitions, RetentionPolicy::unbounded());
+            assert_eq!(
+                t.partition_for(Some(key)),
+                want,
+                "key {key:?} over {partitions} partitions"
+            );
+        }
     }
 
     #[test]

@@ -101,7 +101,7 @@ fn main() {
         .with_tracer(&tracer)
         .with_alerts(Arc::new(move || alerts_jsonl(&alerts_view.lock().unwrap())))
         .with_bench(Arc::new(|| {
-            std::fs::read_to_string("BENCH_pipeline.json").unwrap_or_else(|_| "{}\n".into())
+            std::fs::read_to_string("BENCHMARK.json").unwrap_or_else(|_| "{}\n".into())
         }));
     let server = serve(endpoints, "127.0.0.1:0", ServerConfig::default()).expect("bind ephemeral");
     let addr = server.addr();

@@ -10,6 +10,8 @@
 //! `target/cluster-assignment-actual.json` so CI can upload it as an
 //! artifact for diffing against `tests/golden/cluster_assignment.json`.
 
+mod common;
+
 use oda::stream::Cluster;
 use std::fmt::Write as _;
 
@@ -54,18 +56,11 @@ fn render_assignment() -> String {
 
 #[test]
 fn placement_matches_golden_assignment() {
-    let actual = render_assignment();
-    let expected = include_str!("golden/cluster_assignment.json");
-    if actual != expected {
-        let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("target/cluster-assignment-actual.json");
-        let _ = std::fs::write(&out, &actual);
-        panic!(
-            "Cluster::placement drifted from tests/golden/cluster_assignment.json; \
-             actual written to {}",
-            out.display()
-        );
-    }
+    common::assert_golden(
+        "cluster_assignment.json",
+        "cluster-assignment-actual.json",
+        &render_assignment(),
+    );
 }
 
 #[test]

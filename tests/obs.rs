@@ -5,6 +5,8 @@
 //! `target/obs-golden-actual.prom` on mismatch so CI can upload it as
 //! an artifact for diffing against `tests/golden/obs_render.prom`.
 
+mod common;
+
 use bytes::Bytes;
 use oda::faults::{FaultPlan, FaultPoint, FaultSite};
 use oda::obs::{HistogramSnapshot, Registry};
@@ -225,16 +227,9 @@ fn render_prometheus_matches_golden() {
         h.observe(v);
     }
 
-    let actual = reg.render_prometheus();
-    let expected = include_str!("golden/obs_render.prom");
-    if actual != expected {
-        let out =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/obs-golden-actual.prom");
-        let _ = std::fs::write(&out, &actual);
-        panic!(
-            "render_prometheus drifted from tests/golden/obs_render.prom; \
-             actual written to {}",
-            out.display()
-        );
-    }
+    common::assert_golden(
+        "obs_render.prom",
+        "obs-golden-actual.prom",
+        &reg.render_prometheus(),
+    );
 }

@@ -7,6 +7,8 @@
 //! plan shape; on drift the actual render is written to
 //! `target/query-explain-actual.txt` so CI can upload it for diffing.
 
+mod common;
+
 use std::sync::Arc;
 
 use oda::pipeline::frame_io::frame_to_colfile;
@@ -188,18 +190,11 @@ fn explain_matches_golden() {
                 .and(Expr::col("ts").ge(Expr::LitI(1_600))),
         )
         .select(&["ts", "v"]);
-    let actual = q.explain();
-    let expected = include_str!("golden/query_explain.txt");
-    if actual != expected {
-        let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("target/query-explain-actual.txt");
-        let _ = std::fs::write(&out, &actual);
-        panic!(
-            "explain drifted from tests/golden/query_explain.txt; \
-             actual written to {}",
-            out.display()
-        );
-    }
+    common::assert_golden(
+        "query_explain.txt",
+        "query-explain-actual.txt",
+        &q.explain(),
+    );
 }
 
 #[test]

@@ -17,6 +17,8 @@
 //! is recorded, evidence attached, released through the advisory chain,
 //! and resolved.
 
+mod common;
+
 use bytes::Bytes;
 use oda::analytics::online::{alerts_jsonl, Alert, AlertingSink, OnlineAnalytics, OnlineConfig};
 use oda::analytics::train_footprint_classifier;
@@ -142,39 +144,14 @@ fn run_scenario(
     }
 }
 
-fn golden(kind: ScenarioKind) -> &'static str {
-    match kind {
-        ScenarioKind::CoolingExcursion => include_str!("golden/alerts_cooling-excursion.json"),
-        ScenarioKind::PowerCapEvent => include_str!("golden/alerts_power-cap.json"),
-        ScenarioKind::JobStorm => include_str!("golden/alerts_job-storm.json"),
-        ScenarioKind::SensorFirmwareSkew => include_str!("golden/alerts_firmware-skew.json"),
-    }
-}
-
-/// Compare against the golden fixture; on drift write the actual stream
-/// as a CI artifact and fail. `ODA_BLESS=1` rewrites the fixture.
+/// Compare against the scenario's golden alert fixture.
 fn check_golden(kind: ScenarioKind, alerts: &[Alert]) {
     let name = kind.name();
-    let actual = alerts_jsonl(alerts);
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    if std::env::var("ODA_BLESS").is_ok() {
-        std::fs::write(
-            root.join(format!("tests/golden/alerts_{name}.json")),
-            &actual,
-        )
-        .expect("bless writes fixture");
-        return;
-    }
-    let expected = golden(kind);
-    if actual != expected {
-        let out = root.join(format!("target/alerts-actual-{name}.json"));
-        let _ = std::fs::write(&out, &actual);
-        panic!(
-            "{name}: alert stream drifted from tests/golden/alerts_{name}.json; \
-             actual written to {}",
-            out.display()
-        );
-    }
+    common::assert_golden(
+        &format!("alerts_{name}.json"),
+        &format!("alerts-actual-{name}.json"),
+        &alerts_jsonl(alerts),
+    );
 }
 
 /// The scenario matrix honours `SCENARIO=<name>` so CI can shard one

@@ -12,6 +12,8 @@
 //! bytes land in `target/healthz-actual.json` (CI uploads them);
 //! re-bless with `ODA_BLESS=1 cargo test --test serve`.
 
+mod common;
+
 use bytes::Bytes;
 use oda::faults::{FaultClass, FaultPlan, FaultPoint, Retry, Retryable};
 use oda::obs::{render_health_json, HealthEngine, MetricsSnapshot, Registry, Tracer, Verdict};
@@ -330,28 +332,11 @@ fn scripted_report() -> oda::obs::HealthReport {
 
 #[test]
 fn healthz_render_matches_golden() {
-    let actual = render_health_json(&scripted_report());
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let fixture = root.join("tests/golden/healthz.json");
-    if std::env::var("ODA_BLESS").is_ok() {
-        std::fs::write(&fixture, &actual).expect("bless healthz fixture");
-        return;
-    }
-    let expected = std::fs::read_to_string(&fixture).unwrap_or_else(|_| {
-        panic!(
-            "missing {}; run with ODA_BLESS=1 to create it",
-            fixture.display()
-        )
-    });
-    if actual != expected {
-        let out = root.join("target/healthz-actual.json");
-        let _ = std::fs::write(&out, &actual);
-        panic!(
-            "health render drifted from tests/golden/healthz.json; \
-             actual written to {} (ODA_BLESS=1 to re-bless)",
-            out.display()
-        );
-    }
+    common::assert_golden(
+        "healthz.json",
+        "healthz-actual.json",
+        &render_health_json(&scripted_report()),
+    );
 }
 
 /// The scripted sequence flips the stream plane's verdict — pinned
