@@ -126,10 +126,12 @@ impl fmt::Display for FaultKind {
 /// distinct contexts are schedule-isolated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultSite {
-    /// `Broker::produce` / `Producer::send`.
+    /// `Broker::produce` / `Producer::send`, checked once per call
+    /// before partition selection. `ctx` is 0.
     Produce,
     /// `Broker::fetch` (via `Consumer::poll` /
-    /// `Consumer::fetch_partition`). `ctx` is the partition id.
+    /// `Consumer::fetch_partition`), checked after the leader's
+    /// `NodeCrash` site. `ctx` is the partition id.
     Fetch,
     /// After `Sink::write(epoch, ..)`, before the checkpoint commit.
     /// `ctx` is the epoch.
@@ -140,8 +142,9 @@ pub enum FaultSite {
     TierMigrate,
     /// Per-observation ingest. `ctx` is the observation index.
     SensorRead,
-    /// Broker node liveness, checked on every cluster produce/fetch that
-    /// routes through a leader. `ctx` is the node id. Fires at most once
+    /// Broker node liveness, checked on every `Broker::produce` /
+    /// `Broker::fetch` against the partition's current leader — node 0
+    /// on a single-node broker. `ctx` is the node id. Fires at most once
     /// per node (one-shot, like `SinkWrite` crash epochs).
     NodeCrash,
     /// Follower replication of a single append. `ctx` is the follower

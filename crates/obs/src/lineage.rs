@@ -80,8 +80,8 @@ pub enum LineageNode {
         /// Tier label (`STREAM`, `LAKE`, `OCEAN`, `GLACIER`).
         tier: String,
     },
-    /// One node's replica of a topic partition in a broker cluster.
-    /// Cluster fetches link the serving replica to the offset range they
+    /// One node's replica of a topic partition on the broker. Every
+    /// non-empty fetch links the serving replica to the offset range it
     /// produced (`serve-isr` when in-sync, `serve-stale` otherwise), so
     /// provenance can prove no refined byte came from a stale read.
     Replica {

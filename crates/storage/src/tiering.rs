@@ -184,7 +184,7 @@ impl TierManager {
     }
 
     /// Register an artifact that was materialized from a specific broker
-    /// replica — `(topic, partition, node)` in an `oda_stream::Cluster`
+    /// replica — `(topic, partition, node)` in an `oda_stream::Broker`
     /// — so placements record *which node's segment* fed each tier. The
     /// replica→placement edge lands in the lineage graph as `feeds`,
     /// and survives the OCEAN→GLACIER archive hop (see

@@ -6,7 +6,7 @@
 //! checkpointing (exactly-once sinks) exploits: on crash, an uncommitted
 //! poll is re-delivered.
 
-use crate::bus::MessageBus;
+use crate::broker::Broker;
 use crate::error::StreamError;
 use crate::record::Record;
 use oda_faults::Retry;
@@ -32,11 +32,10 @@ pub struct PartitionBatch {
     pub next_offset: u64,
 }
 
-/// A group member consuming one topic, from any [`MessageBus`] backend
-/// (the single-process [`Broker`](crate::Broker) or the replicated
-/// [`Cluster`](crate::Cluster)).
+/// A group member consuming one topic of a [`Broker`], single-node or
+/// replicated alike.
 pub struct Consumer {
-    bus: Arc<dyn MessageBus>,
+    broker: Arc<Broker>,
     group: String,
     topic: String,
     /// Partitions this member owns, sorted ascending and deduplicated.
@@ -49,13 +48,13 @@ pub struct Consumer {
 
 impl Consumer {
     /// Subscribe to every partition of `topic`.
-    pub fn subscribe<B: MessageBus + 'static>(
-        bus: Arc<B>,
+    pub fn subscribe(
+        broker: Arc<Broker>,
         group: &str,
         topic: &str,
     ) -> Result<Consumer, StreamError> {
-        let n = bus.partition_count(topic)?;
-        Self::with_assignment(bus, group, topic, (0..n).collect())
+        let n = broker.topic(topic)?.partition_count();
+        Self::with_assignment(broker, group, topic, (0..n).collect())
     }
 
     /// Subscribe to an explicit partition subset (static group balancing:
@@ -65,14 +64,13 @@ impl Consumer {
     /// resume concatenates partition batches in assignment order, so the
     /// (partition id, offset) merge order must be canonical even when a
     /// re-subscribe passes partitions in discovery order.
-    pub fn with_assignment<B: MessageBus + 'static>(
-        bus: Arc<B>,
+    pub fn with_assignment(
+        broker: Arc<Broker>,
         group: &str,
         topic: &str,
         mut assignment: Vec<u32>,
     ) -> Result<Consumer, StreamError> {
-        let bus: Arc<dyn MessageBus> = bus;
-        let n = bus.partition_count(topic)?;
+        let n = broker.topic(topic)?.partition_count();
         for &p in &assignment {
             if p >= n {
                 return Err(StreamError::UnknownPartition {
@@ -85,10 +83,10 @@ impl Consumer {
         assignment.dedup();
         let position = assignment
             .iter()
-            .map(|&p| (p, bus.committed(group, topic, p)))
+            .map(|&p| (p, broker.committed(group, topic, p)))
             .collect();
         Ok(Consumer {
-            bus,
+            broker,
             group: group.to_string(),
             topic: topic.to_string(),
             assignment,
@@ -117,15 +115,15 @@ impl Consumer {
         match &self.retry {
             Some(policy) => {
                 let (res, outcome) =
-                    policy.run(|_| self.bus.fetch(&self.topic, partition, from, max));
+                    policy.run(|_| self.broker.fetch(&self.topic, partition, from, max));
                 if outcome.attempts > 1 || res.is_err() {
-                    if let Some(m) = self.bus.metrics() {
+                    if let Some(m) = self.broker.metrics() {
                         m.fetch_retry.observe(&outcome, res.is_ok());
                     }
                     // Retry content is deterministic (the fault schedule
                     // is keyed by (site, partition, invocation)), so the
                     // event is safe to record from worker threads.
-                    if let Some(tr) = self.bus.tracer() {
+                    if let Some(tr) = self.broker.tracer() {
                         let trace = oda_obs::trace_id(&self.topic, oda_obs::SERVICE_TRACE);
                         tr.record(
                             trace,
@@ -144,7 +142,7 @@ impl Consumer {
                 }
                 res
             }
-            None => self.bus.fetch(&self.topic, partition, from, max),
+            None => self.broker.fetch(&self.topic, partition, from, max),
         }
     }
 
@@ -235,14 +233,17 @@ impl Consumer {
         Ok(out)
     }
 
-    /// Publish per-partition lag gauges if the bus carries metrics.
+    /// Publish per-partition lag gauges if the broker carries metrics.
     fn record_lag(&self) {
-        let Some(m) = self.bus.metrics() else {
+        let Some(m) = self.broker.metrics() else {
+            return;
+        };
+        let Ok(topic) = self.broker.topic(&self.topic) else {
             return;
         };
         for &p in &self.assignment {
             let pos = *self.position.get(&p).expect("assigned partition");
-            if let Ok(latest) = self.bus.latest_offset(&self.topic, p) {
+            if let Ok(latest) = topic.latest_offset(p) {
                 m.lag_gauge(&self.group, &self.topic, p)
                     .set(latest.saturating_sub(pos) as i64);
             }
@@ -252,14 +253,14 @@ impl Consumer {
     /// Durably commit the current position of every owned partition.
     pub fn commit(&self) {
         for (&p, &pos) in &self.position {
-            self.bus.commit(&self.group, &self.topic, p, pos);
+            self.broker.commit(&self.group, &self.topic, p, pos);
         }
     }
 
     /// Reset local positions to the last committed offsets (crash rewind).
     pub fn seek_to_committed(&mut self) {
         for &p in &self.assignment {
-            let committed = self.bus.committed(&self.group, &self.topic, p);
+            let committed = self.broker.committed(&self.group, &self.topic, p);
             self.position.insert(p, committed);
         }
     }
@@ -284,10 +285,11 @@ impl Consumer {
 
     /// Records remaining between the position and the log end.
     pub fn lag(&self) -> Result<u64, StreamError> {
+        let topic = self.broker.topic(&self.topic)?;
         let mut lag = 0;
         for &p in &self.assignment {
             let pos = *self.position.get(&p).expect("assigned partition");
-            lag += self.bus.latest_offset(&self.topic, p)?.saturating_sub(pos);
+            lag += topic.latest_offset(p)?.saturating_sub(pos);
         }
         Ok(lag)
     }
@@ -296,7 +298,6 @@ impl Consumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::Broker;
     use crate::retention::RetentionPolicy;
     use bytes::Bytes;
 

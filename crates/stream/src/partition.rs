@@ -55,6 +55,13 @@ impl Partition {
         offset
     }
 
+    /// Drop every record and restart the log empty at `base_offset`.
+    pub(crate) fn reset(&mut self, base_offset: u64) {
+        self.segments = vec![Segment::new(base_offset, self.segment_bytes)];
+        self.next_offset = base_offset;
+        self.total_bytes = 0;
+    }
+
     /// Earliest retained offset.
     pub fn earliest_offset(&self) -> u64 {
         self.segments

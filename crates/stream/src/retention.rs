@@ -120,8 +120,9 @@ mod tests {
         assert_eq!(t.earliest_offset(0).unwrap(), 0);
         assert_eq!(t.latest_offset(0).unwrap(), 0);
         // Still writable and readable after the no-op compaction.
-        t.produce(0, None, Bytes::from_static(b"v"));
-        assert_eq!(t.fetch(0, 0, 10).unwrap().len(), 1);
+        b.produce("empty", 0, None, Bytes::from_static(b"v"))
+            .unwrap();
+        assert_eq!(b.fetch("empty", 0, 0, 10).unwrap().len(), 1);
     }
 
     #[test]

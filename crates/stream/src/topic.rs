@@ -1,19 +1,17 @@
-//! Topics: named sets of partitions with a stable partitioner.
+//! Topics: named sets of replicated partitions with a stable partitioner.
 
+use crate::broker::Broker;
 use crate::error::StreamError;
 use crate::partition::Partition;
-use crate::record::Record;
 use crate::retention::RetentionPolicy;
-use bytes::Bytes;
 use oda_obs::fnv1a;
 use parking_lot::Mutex;
 
-/// The stack's one partitioner, shared by [`Topic`] and the cluster:
-/// FNV-1a of the key modulo `partitions`; keyless records take the
-/// round-robin cursor `rr`. Placement is part of the stored format —
-/// per-key order, and any state sharded by partition, depends on a key
-/// always landing where it did before.
-pub(crate) fn partition_for(key: Option<&[u8]>, partitions: u32, rr: &Mutex<u32>) -> u32 {
+/// The stack's one partitioner: FNV-1a of the key modulo `partitions`;
+/// keyless records take the round-robin cursor `rr`. Placement is part
+/// of the stored format — per-key order, and any state sharded by
+/// partition, depends on a key always landing where it did before.
+fn partition_for(key: Option<&[u8]>, partitions: u32, rr: &Mutex<u32>) -> u32 {
     match key {
         Some(k) => (fnv1a(k) % u64::from(partitions)) as u32,
         None => {
@@ -25,24 +23,106 @@ pub(crate) fn partition_for(key: Option<&[u8]>, partitions: u32, rr: &Mutex<u32>
     }
 }
 
-/// A named stream split into independently ordered partitions.
+/// One node's copy of a partition.
+#[derive(Debug)]
+pub(crate) struct Replica {
+    pub(crate) node: u32,
+    /// Member of the in-sync replica set (ISR): the log equals the
+    /// leader's.
+    pub(crate) in_sync: bool,
+    pub(crate) log: Partition,
+}
+
+/// One partition's replica set in preferred (ring) order: `replicas[0]`
+/// is the creation-time leader, the rest are followers.
+#[derive(Debug)]
+pub(crate) struct ReplicaSet {
+    pub(crate) replicas: Vec<Replica>,
+    /// Index of the current leader in `replicas`. Always in sync.
+    pub(crate) leader: usize,
+}
+
+impl ReplicaSet {
+    /// The current leader's replica.
+    pub(crate) fn leader(&self) -> &Replica {
+        &self.replicas[self.leader]
+    }
+
+    /// `node`'s replica, if it holds one.
+    pub(crate) fn replica(&self, node: u32) -> Result<&Replica, StreamError> {
+        self.replicas
+            .iter()
+            .find(|r| r.node == node)
+            .ok_or(StreamError::UnknownNode { node })
+    }
+
+    /// Copy what the follower at index `i` is missing from the leader's
+    /// log. A follower below the leader's log start — retention ran while
+    /// it lagged — first truncates to an empty log at that start, as
+    /// Kafka does, since the records in between no longer exist.
+    pub(crate) fn catch_up(&mut self, i: usize) {
+        let leader = &self.replicas[self.leader].log;
+        let start = leader.earliest_offset();
+        let end = self.replicas[i].log.latest_offset();
+        let missing = leader
+            .fetch(end.max(start), usize::MAX)
+            .expect("the leader holds every offset from its log start");
+        let log = &mut self.replicas[i].log;
+        if end < start {
+            log.reset(start);
+        }
+        for r in missing {
+            log.append(r.ts_ms, r.key, r.value);
+        }
+    }
+}
+
+/// A named stream split into independently ordered, replicated
+/// partitions.
 #[derive(Debug)]
 pub struct Topic {
     name: String,
-    partitions: Vec<Mutex<Partition>>,
+    parts: Vec<Mutex<ReplicaSet>>,
     /// Round-robin cursor for keyless records.
     rr: Mutex<u32>,
 }
 
 impl Topic {
-    /// Create a topic with `partitions` partitions sharing `policy`.
+    /// Create a single-node topic (one replica per partition) with
+    /// `partitions` partitions sharing `policy`.
     pub fn new(name: &str, partitions: u32, policy: RetentionPolicy) -> Self {
+        Topic::placed(name, partitions, policy, 1, 1)
+    }
+
+    /// Create a topic whose partitions are replicated per
+    /// [`Broker::placement`] over `nodes` nodes.
+    pub(crate) fn placed(
+        name: &str,
+        partitions: u32,
+        policy: RetentionPolicy,
+        nodes: u32,
+        replication: u32,
+    ) -> Self {
         assert!(partitions > 0, "topic needs at least one partition");
+        let parts = (0..partitions)
+            .map(|p| {
+                let replicas = Broker::placement(name, p, nodes, replication)
+                    .into_iter()
+                    .map(|node| Replica {
+                        node,
+                        in_sync: true,
+                        log: Partition::new(policy),
+                    })
+                    .collect();
+                Mutex::new(ReplicaSet {
+                    replicas,
+                    leader: 0,
+                })
+            })
+            .collect();
         Topic {
             name: name.to_string(),
-            partitions: (0..partitions)
-                .map(|_| Mutex::new(Partition::new(policy)))
-                .collect(),
+            parts,
             rr: Mutex::new(0),
         }
     }
@@ -54,7 +134,7 @@ impl Topic {
 
     /// Number of partitions.
     pub fn partition_count(&self) -> u32 {
-        self.partitions.len() as u32
+        self.parts.len() as u32
     }
 
     /// Stable FNV-1a key hash -> partition index; keyless records go
@@ -63,54 +143,45 @@ impl Topic {
         partition_for(key, self.partition_count(), &self.rr)
     }
 
-    /// Append to the partition chosen by the key; returns (partition, offset).
-    pub fn produce(&self, ts_ms: i64, key: Option<Bytes>, value: Bytes) -> (u32, u64) {
-        let p = self.partition_for(key.as_deref());
-        let offset = self.partitions[p as usize].lock().append(ts_ms, key, value);
-        (p, offset)
-    }
-
-    /// Fetch from one partition.
-    pub fn fetch(&self, partition: u32, from: u64, max: usize) -> Result<Vec<Record>, StreamError> {
-        let part = self.partitions.get(partition as usize).ok_or_else(|| {
-            StreamError::UnknownPartition {
+    /// One partition's replica set.
+    pub(crate) fn part(&self, partition: u32) -> Result<&Mutex<ReplicaSet>, StreamError> {
+        self.parts
+            .get(partition as usize)
+            .ok_or_else(|| StreamError::UnknownPartition {
                 topic: self.name.clone(),
                 partition,
-            }
-        })?;
-        part.lock().fetch(from, max)
+            })
     }
 
-    /// Log-end offset of one partition.
+    /// Every partition's replica set, in partition order.
+    pub(crate) fn parts(&self) -> &[Mutex<ReplicaSet>] {
+        &self.parts
+    }
+
+    /// High watermark of one partition: one past the last acked offset.
+    /// With `acks=all` this is the leader's log end, which every in-sync
+    /// replica matches.
     pub fn latest_offset(&self, partition: u32) -> Result<u64, StreamError> {
-        let part = self.partitions.get(partition as usize).ok_or_else(|| {
-            StreamError::UnknownPartition {
-                topic: self.name.clone(),
-                partition,
-            }
-        })?;
-        Ok(part.lock().latest_offset())
+        Ok(self.part(partition)?.lock().leader().log.latest_offset())
     }
 
     /// Earliest retained offset of one partition.
     pub fn earliest_offset(&self, partition: u32) -> Result<u64, StreamError> {
-        let part = self.partitions.get(partition as usize).ok_or_else(|| {
-            StreamError::UnknownPartition {
-                topic: self.name.clone(),
-                partition,
-            }
-        })?;
-        Ok(part.lock().earliest_offset())
+        Ok(self.part(partition)?.lock().leader().log.earliest_offset())
     }
 
-    /// Total retained bytes across partitions.
+    /// Total retained bytes across partitions, counting each partition
+    /// once (its leader's copy), however many replicas hold it.
     pub fn bytes(&self) -> usize {
-        self.partitions.iter().map(|p| p.lock().bytes()).sum()
+        self.parts
+            .iter()
+            .map(|p| p.lock().leader().log.bytes())
+            .sum()
     }
 
-    /// Total retained records across partitions.
+    /// Total retained records across partitions (leader copies).
     pub fn len(&self) -> u64 {
-        self.partitions.iter().map(|p| p.lock().len()).sum()
+        self.parts.iter().map(|p| p.lock().leader().log.len()).sum()
     }
 
     /// True when no records are retained in any partition.
@@ -118,11 +189,23 @@ impl Topic {
         self.len() == 0
     }
 
-    /// Enforce retention on all partitions; returns records dropped.
-    pub fn enforce_retention(&self, now_ms: i64) -> u64 {
-        self.partitions
+    /// Enforce retention on every replica's log; returns the records the
+    /// leaders dropped, so the count does not scale with replication.
+    pub(crate) fn enforce_retention(&self, now_ms: i64) -> u64 {
+        self.parts
             .iter()
-            .map(|p| p.lock().enforce_retention(now_ms))
+            .map(|p| {
+                let mut st = p.lock();
+                let leader = st.leader;
+                let mut dropped = 0;
+                for (i, r) in st.replicas.iter_mut().enumerate() {
+                    let d = r.log.enforce_retention(now_ms);
+                    if i == leader {
+                        dropped = d;
+                    }
+                }
+                dropped
+            })
             .sum()
     }
 }
@@ -130,14 +213,25 @@ impl Topic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use std::sync::Arc;
+
+    fn broker_with(name: &str, partitions: u32) -> Arc<Broker> {
+        let b = Broker::new();
+        b.create_topic(name, partitions, RetentionPolicy::unbounded())
+            .unwrap();
+        b
+    }
 
     #[test]
     fn keyed_records_stay_in_one_partition() {
-        let t = Topic::new("sensors", 8, RetentionPolicy::unbounded());
+        let b = broker_with("sensors", 8);
         let key = Bytes::from_static(b"node-42");
         let mut partitions = std::collections::HashSet::new();
         for i in 0..20 {
-            let (p, _) = t.produce(i, Some(key.clone()), Bytes::from_static(b"v"));
+            let (p, _) = b
+                .produce("sensors", i, Some(key.clone()), Bytes::from_static(b"v"))
+                .unwrap();
             partitions.insert(p);
         }
         assert_eq!(partitions.len(), 1, "key must map to a stable partition");
@@ -172,10 +266,12 @@ mod tests {
 
     #[test]
     fn keyless_records_round_robin() {
-        let t = Topic::new("events", 4, RetentionPolicy::unbounded());
+        let b = broker_with("events", 4);
         let mut partitions = Vec::new();
         for i in 0..8 {
-            let (p, _) = t.produce(i, None, Bytes::from_static(b"v"));
+            let (p, _) = b
+                .produce("events", i, None, Bytes::from_static(b"v"))
+                .unwrap();
             partitions.push(p);
         }
         assert_eq!(partitions, vec![0, 1, 2, 3, 0, 1, 2, 3]);
@@ -183,12 +279,14 @@ mod tests {
 
     #[test]
     fn per_partition_offsets_independent() {
-        let t = Topic::new("x", 2, RetentionPolicy::unbounded());
+        let b = broker_with("x", 2);
         // Force both partitions via distinct keys.
         let mut seen = std::collections::HashMap::new();
         for user in 0..100u32 {
             let key = Bytes::from(format!("k{user}"));
-            let (p, o) = t.produce(0, Some(key), Bytes::from_static(b"v"));
+            let (p, o) = b
+                .produce("x", 0, Some(key), Bytes::from_static(b"v"))
+                .unwrap();
             let next = seen.entry(p).or_insert(0u64);
             assert_eq!(o, *next, "offsets must be dense per partition");
             *next += 1;
@@ -198,20 +296,21 @@ mod tests {
 
     #[test]
     fn fetch_unknown_partition_errors() {
-        let t = Topic::new("x", 1, RetentionPolicy::unbounded());
+        let b = broker_with("x", 1);
         assert!(matches!(
-            t.fetch(3, 0, 1),
+            b.fetch("x", 3, 0, 1),
             Err(StreamError::UnknownPartition { partition: 3, .. })
         ));
     }
 
     #[test]
     fn fifo_order_within_partition() {
-        let t = Topic::new("x", 1, RetentionPolicy::unbounded());
+        let b = broker_with("x", 1);
         for i in 0..10 {
-            t.produce(i, None, Bytes::from(format!("m{i}")));
+            b.produce("x", i, None, Bytes::from(format!("m{i}")))
+                .unwrap();
         }
-        let recs = t.fetch(0, 0, 100).unwrap();
+        let recs = b.fetch("x", 0, 0, 100).unwrap();
         let values: Vec<_> = recs.iter().map(|r| r.value.clone()).collect();
         let expect: Vec<_> = (0..10).map(|i| Bytes::from(format!("m{i}"))).collect();
         assert_eq!(values, expect);

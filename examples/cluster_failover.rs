@@ -1,21 +1,21 @@
 //! Multi-node STREAM: replicated ingest, deterministic failover.
 //!
-//! A three-node [`Cluster`] (replication factor 3) ingests a synthetic
+//! A three-node [`Broker`] (replication factor 3) ingests a synthetic
 //! telemetry stream while a seeded fault plan crashes nodes
 //! ([`FaultSite::NodeCrash`], one-shot per node) and lags followers
 //! ([`FaultSite::ReplicaLag`], shrinking the in-sync replica set until
 //! catch-up). The demo prints the pinned placement table, the election
 //! log, and the ISR after healing — then proves the property the chaos
 //! suite rests on: the consumed stream is **byte-identical** to a
-//! single-node broker's, and the lineage graph confirms no byte was
-//! served by a stale (non-ISR) replica.
+//! single-node `Broker::new()`'s, and the lineage graph confirms no
+//! byte was served by a stale (non-ISR) replica.
 //!
 //! Run with: `cargo run --release --example cluster_failover`
 
 use bytes::Bytes;
 use oda::faults::{FaultPlan, FaultPoint, FaultSite, FaultSpec};
 use oda::obs::{LineageNode, Tracer};
-use oda::stream::{Broker, Cluster, Consumer, RetentionPolicy};
+use oda::stream::{Broker, Consumer, RetentionPolicy};
 use oda::telemetry::record::Observation;
 use oda::telemetry::{SystemModel, TelemetryGenerator};
 use std::sync::Arc;
@@ -32,7 +32,7 @@ fn main() {
     // --- Placement: a pure function, printed straight from it.
     println!("placement ({NODES} nodes, rf 3):");
     for p in 0..PARTITIONS {
-        let set = Cluster::placement(TOPIC, p, NODES, 3);
+        let set = Broker::placement(TOPIC, p, NODES, 3);
         println!(
             "  {TOPIC}/{p}: leader n{}  followers {:?}",
             set[0],
@@ -40,13 +40,13 @@ fn main() {
         );
     }
 
-    // --- Two ingests of the same stream: a plain broker, and a cluster
-    // under crash/lag faults. Keys route identically in both.
+    // --- Two ingests of the same stream: a single-node broker, and a
+    // replicated one under crash/lag faults. Keys route identically in both.
     let broker = Broker::new();
     broker
         .create_topic(TOPIC, PARTITIONS, RetentionPolicy::unbounded())
         .unwrap();
-    let cluster = Cluster::new(NODES, 3);
+    let cluster = Broker::replicated(NODES, 3);
     cluster
         .create_topic(TOPIC, PARTITIONS, RetentionPolicy::unbounded())
         .unwrap();
@@ -104,7 +104,7 @@ fn main() {
             "  {TOPIC}/{p}: leader n{}  isr {:?}  hw {}",
             cluster.leader(TOPIC, p).unwrap(),
             cluster.isr(TOPIC, p).unwrap(),
-            cluster.high_watermark(TOPIC, p).unwrap(),
+            cluster.topic(TOPIC).unwrap().latest_offset(p).unwrap(),
         );
     }
 

@@ -17,7 +17,7 @@ use oda::pipeline::ops::{group_by, Agg, AggSpec};
 use oda::pipeline::streaming::{MemorySink, Sink};
 use oda::pipeline::{Frame, StreamingQuery};
 use oda::storage::tiering::{DataClass, LifecycleAction, Tier, TierManager};
-use oda::stream::{Broker, Cluster, Consumer, MessageBus, RetentionPolicy};
+use oda::stream::{Broker, Consumer, RetentionPolicy};
 use oda::telemetry::record::Observation;
 use oda::telemetry::system::SystemModel;
 use oda::telemetry::{SensorCatalog, TelemetryGenerator};
@@ -28,14 +28,28 @@ const BATCHES: usize = 80;
 const MAX_RECORDS: usize = 5;
 const MAX_RESTARTS: usize = 60;
 
-/// Produce the same synthetic telemetry stream (fault-free: data
-/// creation must be identical across runs) into a fresh broker.
-fn seeded_broker() -> (Arc<Broker>, SensorCatalog) {
+/// Produce the same synthetic telemetry stream into a fresh broker of
+/// `nodes` nodes replicating to `replication` of them (`(1, 1)` is
+/// [`Broker::new`]). The seed-phase `plan` may crash nodes and lag
+/// replicas *while the data is being written* — `acks=all` replication
+/// must keep the acked stream byte-identical regardless.
+fn seeded(
+    nodes: u32,
+    replication: u32,
+    plan: Option<Arc<FaultPlan>>,
+    tracer: Option<&oda::obs::Tracer>,
+) -> (Arc<Broker>, SensorCatalog) {
     let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
-    let broker = Broker::new();
+    let broker = Broker::replicated(nodes, replication);
     broker
         .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
         .unwrap();
+    if let Some(p) = &plan {
+        broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);
+    }
+    if let Some(tr) = tracer {
+        broker.attach_tracer(tr);
+    }
     for _ in 0..BATCHES {
         let batch = generator.next_batch();
         let payload = Observation::encode_batch(&batch.observations);
@@ -69,7 +83,7 @@ fn run_instrumented(
     metrics: Option<&oda::obs::Registry>,
     tracer: Option<&oda::obs::Tracer>,
 ) -> RunReport {
-    let (broker, catalog) = seeded_broker();
+    let (broker, catalog) = seeded(1, 1, None, None);
     let checkpoints = CheckpointStore::new();
     if let Some(p) = &plan {
         broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);
@@ -98,11 +112,10 @@ fn run_instrumented(
     )
 }
 
-/// The supervisor loop proper, generic over the message bus so the same
-/// crash/recovery harness drives a single [`Broker`] or a replicated
-/// [`Cluster`].
-fn drive_query<B: MessageBus + 'static>(
-    bus: Arc<B>,
+/// The supervisor loop proper: the same crash/recovery harness drives a
+/// single-node or a replicated [`Broker`].
+fn drive_query(
+    broker: Arc<Broker>,
     catalog: &SensorCatalog,
     checkpoints: CheckpointStore,
     plan: Option<Arc<FaultPlan>>,
@@ -112,7 +125,7 @@ fn drive_query<B: MessageBus + 'static>(
 ) -> RunReport {
     let mut sink = MemorySink::new();
     let restarts = drive_query_into(
-        bus,
+        broker,
         catalog,
         &checkpoints,
         plan,
@@ -132,8 +145,8 @@ fn drive_query<B: MessageBus + 'static>(
 /// harness can drive a plain [`MemorySink`] or an
 /// [`oda::analytics::AlertingSink`] wrapping one.
 #[allow(clippy::too_many_arguments)]
-fn drive_query_into<B: MessageBus + 'static, S: Sink>(
-    bus: Arc<B>,
+fn drive_query_into<S: Sink>(
+    broker: Arc<Broker>,
     catalog: &SensorCatalog,
     checkpoints: &CheckpointStore,
     plan: Option<Arc<FaultPlan>>,
@@ -145,7 +158,7 @@ fn drive_query_into<B: MessageBus + 'static, S: Sink>(
     let mut restarts = 0;
     let mut last_recovered_epoch = 0u64;
     loop {
-        let consumer = Consumer::subscribe(bus.clone(), "chaos", TOPIC)
+        let consumer = Consumer::subscribe(broker.clone(), "chaos", TOPIC)
             .unwrap()
             .with_retry(Retry::with_attempts(25));
         let mut builder = StreamingQuery::builder()
@@ -196,41 +209,6 @@ fn drive_query_into<B: MessageBus + 'static, S: Sink>(
         }
     }
     restarts
-}
-
-/// Produce the same synthetic telemetry stream into a replicated
-/// cluster of three nodes. The seed-phase `plan` may crash nodes and
-/// lag replicas *while the data is being written* — `acks=all`
-/// replication must keep the acked stream byte-identical regardless.
-fn seeded_cluster(
-    replication: u32,
-    plan: Option<Arc<FaultPlan>>,
-    tracer: Option<&oda::obs::Tracer>,
-) -> (Arc<Cluster>, SensorCatalog) {
-    let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
-    let cluster = Cluster::new(3, replication);
-    cluster
-        .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
-        .unwrap();
-    if let Some(p) = &plan {
-        cluster.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-    }
-    if let Some(tr) = tracer {
-        cluster.attach_tracer(tr);
-    }
-    for _ in 0..BATCHES {
-        let batch = generator.next_batch();
-        let payload = Observation::encode_batch(&batch.observations);
-        cluster
-            .produce(
-                TOPIC,
-                batch.ts_ms,
-                Some(Bytes::from("all")),
-                Bytes::from(payload),
-            )
-            .unwrap();
-    }
-    (cluster, generator.catalog().clone())
 }
 
 fn run_pipeline_with_workers(plan: Option<Arc<FaultPlan>>, workers: usize) -> RunReport {
@@ -472,7 +450,7 @@ fn node_crash_failover_gold_byte_identity() {
                 ));
                 seed_plan.attach_tracer(&tracer);
                 let (cluster, catalog) =
-                    seeded_cluster(replication, Some(seed_plan.clone()), Some(&tracer));
+                    seeded(3, replication, Some(seed_plan.clone()), Some(&tracer));
                 // Run phase: the full chaos schedule plus replication
                 // faults drives the supervisor loop.
                 let run_plan = Arc::new(FaultPlan::cluster_chaos(seed));
@@ -510,7 +488,7 @@ fn node_crash_failover_gold_byte_identity() {
                 }
                 let mut acked_total = 0;
                 for p in 0..2 {
-                    let hw = cluster.high_watermark(TOPIC, p).unwrap();
+                    let hw = cluster.topic(TOPIC).unwrap().latest_offset(p).unwrap();
                     acked_total += hw;
                     let leader = cluster.leader(TOPIC, p).unwrap();
                     assert_eq!(cluster.log_end(leader, TOPIC, p).unwrap(), hw, "{label}");
@@ -573,7 +551,7 @@ fn chaos_alert_engine() -> oda::analytics::OnlineAnalytics {
 
 /// Run the supervisor loop with the online detectors riding on the sink.
 fn run_alerting(plan: Option<Arc<FaultPlan>>, workers: usize) -> (RunReport, Vec<u8>) {
-    let (broker, catalog) = seeded_broker();
+    let (broker, catalog) = seeded(1, 1, None, None);
     let checkpoints = CheckpointStore::new();
     if let Some(p) = &plan {
         broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);

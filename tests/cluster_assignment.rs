@@ -1,6 +1,6 @@
 //! Golden fixture for cluster partition placement.
 //!
-//! [`Cluster::placement`] is a pure function of `(topic, partition,
+//! [`Broker::placement`] is a pure function of `(topic, partition,
 //! nodes, replication)`; this test pins its output for small clusters
 //! so any change to the placement hash, ring order, or replication
 //! clamp is caught as a golden drift rather than a silent reshuffle
@@ -12,7 +12,7 @@
 
 mod common;
 
-use oda::stream::Cluster;
+use oda::stream::Broker;
 use std::fmt::Write as _;
 
 const TOPIC: &str = "bronze";
@@ -33,7 +33,7 @@ fn render_assignment() -> String {
         let _ = writeln!(out, "      \"nodes\": {nodes},");
         out.push_str("      \"assignment\": [\n");
         for p in 0..PARTITIONS {
-            let set = Cluster::placement(TOPIC, p, nodes, REPLICATION);
+            let set = Broker::placement(TOPIC, p, nodes, REPLICATION);
             let followers: Vec<String> = set[1..].iter().map(u32::to_string).collect();
             let _ = write!(
                 out,
@@ -68,11 +68,11 @@ fn live_clusters_agree_with_the_golden_table() {
     // The pure function is the golden source; a real cluster must seed
     // its leaders and replica sets from exactly that table.
     for &nodes in &NODE_COUNTS {
-        let c = Cluster::new(nodes, REPLICATION);
+        let c = Broker::replicated(nodes, REPLICATION);
         c.create_topic(TOPIC, PARTITIONS, oda::stream::RetentionPolicy::unbounded())
             .unwrap();
         for p in 0..PARTITIONS {
-            let want = Cluster::placement(TOPIC, p, nodes, REPLICATION);
+            let want = Broker::placement(TOPIC, p, nodes, REPLICATION);
             assert_eq!(c.replicas(TOPIC, p).unwrap(), want, "n={nodes} p={p}");
             assert_eq!(c.leader(TOPIC, p).unwrap(), want[0], "n={nodes} p={p}");
         }
@@ -85,7 +85,7 @@ fn assignment_spreads_leaders_across_nodes() {
     // onto a single leader (a regression guard for the hash input
     // format, which includes the partition index).
     let leaders: std::collections::BTreeSet<u32> = (0..PARTITIONS)
-        .map(|p| Cluster::placement(TOPIC, p, 5, REPLICATION)[0])
+        .map(|p| Broker::placement(TOPIC, p, 5, REPLICATION)[0])
         .collect();
     assert!(
         leaders.len() > 1,

@@ -16,7 +16,7 @@
 
 use bytes::Bytes;
 use oda::faults::{FaultPlan, FaultSpec};
-use oda::stream::{Cluster, Record};
+use oda::stream::{Broker, Record};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -79,8 +79,8 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 
 /// Build the scenario's cluster and run its schedule, returning the
 /// applied cluster and the records acked per partition, in ack order.
-fn run(s: &Scenario) -> (Arc<Cluster>, Vec<Vec<(u64, Bytes)>>) {
-    let c = Cluster::new(s.nodes, s.replication);
+fn run(s: &Scenario) -> (Arc<Broker>, Vec<Vec<(u64, Bytes)>>) {
+    let c = Broker::replicated(s.nodes, s.replication);
     c.create_topic(
         TOPIC,
         s.partitions,
@@ -112,7 +112,7 @@ fn run(s: &Scenario) -> (Arc<Cluster>, Vec<Vec<(u64, Bytes)>>) {
     (c, acked)
 }
 
-fn replica_logs(c: &Cluster, partition: u32) -> Vec<Vec<Record>> {
+fn replica_logs(c: &Broker, partition: u32) -> Vec<Vec<Record>> {
     c.replicas(TOPIC, partition)
         .unwrap()
         .into_iter()
@@ -140,7 +140,7 @@ proptest! {
             }
             prop_assert_eq!(
                 logs[0].len() as u64,
-                c.high_watermark(TOPIC, p).unwrap(),
+                c.topic(TOPIC).unwrap().latest_offset(p).unwrap(),
                 "log length equals high watermark"
             );
         }
@@ -159,7 +159,7 @@ proptest! {
                 prop_assert_eq!(*offset, i as u64, "offsets dense in ack order");
             }
             prop_assert_eq!(
-                c.high_watermark(TOPIC, p).unwrap(),
+                c.topic(TOPIC).unwrap().latest_offset(p).unwrap(),
                 expect.len() as u64,
                 "high watermark counts acked records"
             );
@@ -200,7 +200,7 @@ proptest! {
             prop_assert!(isr.contains(&leader), "leader is always in the ISR");
             prop_assert_eq!(
                 c.log_end(leader, TOPIC, p).unwrap(),
-                c.high_watermark(TOPIC, p).unwrap(),
+                c.topic(TOPIC).unwrap().latest_offset(p).unwrap(),
                 "leader holds every acked record"
             );
         }
@@ -243,7 +243,7 @@ fn pinned_replay_elects_known_leaders() {
     }
     // Every partition still serves its full acked log after the chaos.
     for p in 0..2 {
-        let hw = c.high_watermark(TOPIC, p).unwrap();
+        let hw = c.topic(TOPIC).unwrap().latest_offset(p).unwrap();
         assert_eq!(c.fetch(TOPIC, p, 0, usize::MAX).unwrap().len() as u64, hw);
     }
 }
