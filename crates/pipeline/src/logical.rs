@@ -1038,15 +1038,15 @@ fn exec_table_scan(
     };
 
     // Predicates answered by a secondary index need no chunk at all;
-    // the rest decode their column once per surviving group.
+    // the rest decode their column once per surviving group. The table
+    // decodes each index once and lends it to every scan.
     let mut indexes = BTreeMap::new();
     for p in predicates {
         if let ScanPredicate::CatEq { column, .. } = p {
-            if !indexes.contains_key(column.as_str()) && table.has_index(column) {
-                indexes.insert(
-                    column.clone(),
-                    table.read_index(column)?.expect("has_index"),
-                );
+            if !indexes.contains_key(column.as_str()) {
+                if let Some(index) = table.read_index(column)? {
+                    indexes.insert(column.as_str(), index);
+                }
             }
         }
     }
@@ -1072,9 +1072,10 @@ fn exec_table_scan(
             ScanPredicate::CatEq { column, value } => {
                 if let Some(index) = indexes.get(column.as_str()) {
                     stats.index_hits += 1;
-                    let hit: BTreeSet<usize> = index.groups_with(value).into_iter().collect();
+                    // Postings ascend by group: merge them with the groups.
+                    let mut hits = index.groups_with(value).peekable();
                     for (g, c) in candidate.iter_mut().enumerate() {
-                        *c = *c && hit.contains(&g);
+                        *c &= hits.next_if_eq(&g).is_some();
                     }
                 }
             }
@@ -1112,11 +1113,7 @@ fn exec_table_scan(
             match p {
                 ScanPredicate::CatEq { column, value } if indexes.contains_key(column.as_str()) => {
                     match indexes[column.as_str()].rows_in_group(value, group) {
-                        Some(bitmap) => {
-                            for (m, b) in mask.iter_mut().zip(bitmap.to_mask()) {
-                                *m = *m && b;
-                            }
-                        }
+                        Some(bitmap) => bitmap.and_into(&mut mask),
                         None => mask.fill(false),
                     }
                 }

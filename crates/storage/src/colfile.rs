@@ -1,11 +1,13 @@
 //! `colfile` — a column-oriented table file format (Parquet analogue).
 //!
 //! Layout: `"OCF1"` magic, then row groups (each column encoded via
-//! [`crate::encoding`] and compressed via [`crate::compress`]), then a
-//! JSON footer describing schema, chunk locations, and per-chunk min/max
-//! statistics, then the footer length and trailing magic. Readers parse
-//! the footer first and fetch only the chunks a query needs — min/max
-//! stats give row-group–level predicate pushdown.
+//! [`crate::encoding`] and compressed via [`crate::compress`]), then any
+//! secondary-index sections (binary, see [`crate::index`], compressed
+//! the same way), then a JSON footer describing schema, chunk and index
+//! locations, and per-chunk min/max statistics, then the footer length
+//! and trailing magic. Readers parse the footer first and fetch only the
+//! chunks a query needs — min/max stats give row-group–level predicate
+//! pushdown.
 
 use crate::buffer::Buffer;
 use crate::compress::{compress, decompress};
@@ -16,7 +18,7 @@ use crate::encoding::{
 use crate::error::StorageError;
 use crate::index::ColumnIndex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const MAGIC: &[u8; 4] = b"OCF1";
 
@@ -476,12 +478,12 @@ impl TableWriter {
         Ok(())
     }
 
-    /// Finalize: append the footer and return the file bytes.
+    /// Finalize: append the index sections and the footer and return
+    /// the file bytes.
     pub fn finish(mut self) -> Vec<u8> {
         let mut index_meta = Vec::with_capacity(self.indexes.len());
         for (_, name, index) in &self.indexes {
-            let encoded = serde_json::to_vec(index).expect("index serializes");
-            let compressed = compress(&encoded);
+            let compressed = compress(&index.to_bytes());
             index_meta.push(IndexMeta {
                 column: name.clone(),
                 offset: self.buf.len(),
@@ -508,6 +510,9 @@ impl TableWriter {
 pub struct TableFile {
     bytes: Vec<u8>,
     footer: Footer,
+    /// One slot per `footer.indexes` entry: the section decoded on first
+    /// use, so every later lookup borrows it.
+    decoded_indexes: Vec<OnceLock<Result<ColumnIndex, StorageError>>>,
 }
 
 impl TableFile {
@@ -530,7 +535,12 @@ impl TableFile {
         let footer_bytes = &bytes[n - 12 - footer_len..n - 12];
         let footer: Footer = serde_json::from_slice(footer_bytes)
             .map_err(|e| StorageError::Corrupt(format!("footer parse: {e}")))?;
-        Ok(TableFile { bytes, footer })
+        let decoded_indexes = footer.indexes.iter().map(|_| OnceLock::new()).collect();
+        Ok(TableFile {
+            bytes,
+            footer,
+            decoded_indexes,
+        })
     }
 
     /// The file's schema.
@@ -616,20 +626,36 @@ impl TableFile {
         self.footer.indexes.iter().any(|m| m.column == column)
     }
 
-    /// Decode the secondary index of `column`, if the file carries one.
-    pub fn read_index(&self, column: &str) -> Result<Option<ColumnIndex>, StorageError> {
-        let Some(meta) = self.footer.indexes.iter().find(|m| m.column == column) else {
+    /// The secondary index of `column`, if the file carries one. The
+    /// section is decompressed and decoded on the first call for that
+    /// column and borrowed by every later one; a corrupt section is an
+    /// error on every call.
+    pub fn read_index(&self, column: &str) -> Result<Option<&ColumnIndex>, StorageError> {
+        let Some((meta, slot)) = self
+            .footer
+            .indexes
+            .iter()
+            .zip(&self.decoded_indexes)
+            .find(|(m, _)| m.column == column)
+        else {
             return Ok(None);
         };
-        if meta.offset + meta.len > self.bytes.len() {
-            return Err(StorageError::Corrupt(format!(
-                "index for {column} exceeds file"
-            )));
-        }
-        let raw = decompress(&self.bytes[meta.offset..meta.offset + meta.len])?;
-        let index: ColumnIndex = serde_json::from_slice(&raw)
-            .map_err(|e| StorageError::Corrupt(format!("index parse: {e}")))?;
-        Ok(Some(index))
+        slot.get_or_init(|| self.decode_index(meta))
+            .as_ref()
+            .map(Some)
+            .map_err(Clone::clone)
+    }
+
+    fn decode_index(&self, meta: &IndexMeta) -> Result<ColumnIndex, StorageError> {
+        let section = meta
+            .offset
+            .checked_add(meta.len)
+            .and_then(|end| self.bytes.get(meta.offset..end))
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!("index for {} exceeds file", meta.column))
+            })?;
+        let group_rows: Vec<usize> = self.footer.row_groups.iter().map(|g| g.rows).collect();
+        ColumnIndex::from_bytes(&decompress(section)?, &group_rows)
     }
 
     /// Row groups whose `column` stats intersect `[lo, hi]` — predicate
@@ -948,11 +974,17 @@ mod tests {
         assert!(file.has_index("sensor"));
         assert!(!file.has_index("value"));
         let ix = file.read_index("sensor").unwrap().unwrap();
-        assert_eq!(ix.groups_with("s0"), vec![0, 2]);
-        assert_eq!(ix.groups_with("s1"), vec![1, 3]);
-        assert!(ix.groups_with("s9").is_empty());
+        let groups = |v| ix.groups_with(v).collect::<Vec<_>>();
+        assert_eq!(groups("s0"), vec![0, 2]);
+        assert_eq!(groups("s1"), vec![1, 3]);
+        assert!(groups("s9").is_empty());
         assert_eq!(ix.rows_in_group("s0", 0).unwrap().count_ones(), 10);
         assert!(file.read_index("value").unwrap().is_none());
+        // Decoded once: a second lookup borrows the same index.
+        assert!(std::ptr::eq(
+            ix,
+            file.read_index("sensor").unwrap().unwrap()
+        ));
         // Data pages still read back untouched.
         assert_eq!(file.num_rows(), 40);
         assert!(file.read_row_group(3).is_ok());
@@ -970,8 +1002,8 @@ mod tests {
             .unwrap();
         let file = TableFile::open(w.finish()).unwrap();
         let ix = file.read_index("device").unwrap().unwrap();
-        assert_eq!(ix.groups_with("cpu0"), vec![0]);
-        assert_eq!(ix.groups_with("gpu1"), vec![0, 1]);
+        assert_eq!(ix.groups_with("cpu0").collect::<Vec<_>>(), vec![0]);
+        assert_eq!(ix.groups_with("gpu1").collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(
             ix.rows_in_group("cpu0", 0)
                 .unwrap()
@@ -979,6 +1011,63 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![0, 2, 3]
         );
+    }
+
+    /// `file` with its one index section swapped for `raw`, compressed
+    /// the way the writer compresses sections.
+    fn with_index_section(mut file: TableFile, raw: &[u8]) -> TableFile {
+        let section = compress(raw);
+        file.footer.indexes[0].offset = file.bytes.len();
+        file.footer.indexes[0].len = section.len();
+        file.bytes.extend_from_slice(&section);
+        file.decoded_indexes = vec![OnceLock::new()];
+        file
+    }
+
+    fn indexed_file() -> TableFile {
+        let mut w = TableFile::writer(schema());
+        w.index_column("sensor").unwrap();
+        w.write_row_group(&group(0, 10)).unwrap();
+        TableFile::open(w.finish()).unwrap()
+    }
+
+    #[test]
+    fn json_index_sections_are_rejected() {
+        // What the serde_json index writer produced for this file.
+        let json = br#"{"entries":[{"value":"s0","postings":[{"group":0,"rows":{"len":10,"words":[585]}}]}]}"#;
+        let file = with_index_section(indexed_file(), json);
+        for _ in 0..2 {
+            let err = file.read_index("sensor").unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(m) if m.contains("JSON")),
+                "{err}"
+            );
+        }
+        // The data pages are untouched by a bad index.
+        assert_eq!(file.read_row_group(0).unwrap(), group(0, 10));
+    }
+
+    #[test]
+    fn index_sections_are_checked_against_the_footer() {
+        let file = indexed_file();
+        let good = file.read_index("sensor").unwrap().unwrap().clone();
+        assert_eq!(
+            with_index_section(file.clone(), &good.to_bytes())
+                .read_index("sensor")
+                .unwrap(),
+            Some(&good)
+        );
+        // Built for a 9-row group, stored for a 10-row one.
+        let mut short = ColumnIndex::new();
+        short.add_group(0, 9, (0..9).map(|i| ["s0", "s1", "s2"][i % 3]));
+        let err = with_index_section(file.clone(), &short.to_bytes())
+            .read_index("sensor")
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        // A section running past the end of the file.
+        let mut past = indexed_file();
+        past.footer.indexes[0].len = usize::MAX;
+        assert!(past.read_index("sensor").is_err());
     }
 
     #[test]

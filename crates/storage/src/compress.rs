@@ -23,6 +23,10 @@ const MIN_MATCH: usize = 4;
 const WINDOW: usize = 64 * 1024;
 /// Hash table size (power of two).
 const HASH_SIZE: usize = 1 << 15;
+/// Output bytes [`decompress`] reserves per input byte up front. The
+/// declared length comes from the input and is only a claim: a stream
+/// that really expands further grows its buffer as it goes.
+const MAX_RESERVE_PER_BYTE: usize = 64;
 
 /// Append `v` as a LEB128 varint.
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -143,6 +147,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress a buffer produced by [`compress`].
+///
+/// Never writes past the declared length: a match that would overrun it
+/// is rejected before any byte of it is copied.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
     let (&tag, rest) = input
         .split_first()
@@ -151,8 +158,13 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
         0x00 => Ok(rest.to_vec()),
         0x01 => {
             let (expected_len, n) = get_varint(rest)?;
+            let expected_len = usize::try_from(expected_len).map_err(|_| {
+                StorageError::Corrupt(format!("declared length {expected_len} too large"))
+            })?;
             let mut pos = n;
-            let mut out: Vec<u8> = Vec::with_capacity(expected_len as usize);
+            let mut out: Vec<u8> = Vec::with_capacity(
+                expected_len.min(rest.len().saturating_mul(MAX_RESERVE_PER_BYTE)),
+            );
             while pos < rest.len() {
                 let control = rest[pos];
                 pos += 1;
@@ -168,7 +180,6 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
                     pos += n1;
                     let (dist, n2) = get_varint(&rest[pos..])?;
                     pos += n2;
-                    let len = len as usize;
                     let dist = dist as usize;
                     if dist == 0 || dist > out.len() {
                         return Err(StorageError::Corrupt(format!(
@@ -176,6 +187,12 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
                             out.len()
                         )));
                     }
+                    if len > expected_len.saturating_sub(out.len()) as u64 {
+                        return Err(StorageError::Corrupt(format!(
+                            "match of {len} bytes overruns the declared length {expected_len}"
+                        )));
+                    }
+                    let len = len as usize;
                     // Byte-by-byte to support overlapping copies.
                     let start = out.len() - dist;
                     for k in 0..len {
@@ -184,7 +201,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
                     }
                 }
             }
-            if out.len() != expected_len as usize {
+            if out.len() != expected_len {
                 return Err(StorageError::Corrupt(format!(
                     "decompressed {} bytes, expected {}",
                     out.len(),
@@ -279,6 +296,44 @@ mod tests {
         put_varint(&mut bad, 4);
         put_varint(&mut bad, 9); // distance 9 with empty output
         assert!(decompress(&bad).is_err());
+    }
+
+    /// LZ header declaring `declared` bytes, then one four-byte literal.
+    fn lz_header(declared: u64) -> Vec<u8> {
+        let mut buf = vec![0x01];
+        put_varint(&mut buf, declared);
+        buf.extend_from_slice(&[3, b'a', b'b', b'c', b'd']);
+        buf
+    }
+
+    #[test]
+    fn declared_length_does_not_size_the_output_buffer() {
+        // Eleven bytes asking for 2^64 - 1 bytes, and 2^40 behind a
+        // literal: reserving either up front overflows or aborts, so
+        // returning at all is the assertion.
+        let mut bare = vec![0x01];
+        put_varint(&mut bare, u64::MAX);
+        assert!(decompress(&bare).is_err());
+        assert!(decompress(&lz_header(1 << 40)).is_err());
+    }
+
+    #[test]
+    fn match_past_the_declared_length_is_rejected_before_copying() {
+        // A 4-byte literal then a run-length match declaring 2^40 bytes
+        // in a stream that declares 8: copying first would write a
+        // terabyte before the final length check could object.
+        let mut bomb = lz_header(8);
+        bomb.push(0x80);
+        put_varint(&mut bomb, 1 << 40);
+        put_varint(&mut bomb, 1);
+        let err = decompress(&bomb).unwrap_err();
+        assert!(err.to_string().contains("overruns"), "{err}");
+        // The same match, cut to exactly fill the declared length, is fine.
+        let mut fits = lz_header(8);
+        fits.push(0x80);
+        put_varint(&mut fits, 4);
+        put_varint(&mut fits, 1);
+        assert_eq!(decompress(&fits).unwrap(), b"abcddddd");
     }
 
     proptest! {

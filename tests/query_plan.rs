@@ -3,9 +3,11 @@
 //! The planner's contract is "same bytes, less work": a planned scan
 //! with row-group pruning and secondary indexes must return a frame
 //! byte-identical to a naive full scan + filter, while decoding
-//! strictly fewer column chunks. The explain golden pins the optimized
-//! plan shape; on drift the actual render is written to
-//! `target/query-explain-actual.txt` so CI can upload it for diffing.
+//! strictly fewer column chunks. An index section that does not match
+//! its file fails the scan instead of bending the answer. The explain
+//! golden pins the optimized plan shape; on drift the actual render is
+//! written to `target/query-explain-actual.txt` so CI can upload it for
+//! diffing.
 
 mod common;
 
@@ -14,8 +16,11 @@ use std::sync::Arc;
 use oda::pipeline::frame_io::frame_to_colfile;
 use oda::pipeline::logical::{ExecContext, Query};
 use oda::pipeline::ops::{Agg, AggSpec};
+use oda::pipeline::PipelineError;
 use oda::pipeline::{Expr, Frame, PipelinePlan, Stage};
 use oda::storage::colfile::{ColumnData, ColumnType, TableFile, TableSchema, TableWriter};
+use oda::storage::compress::compress;
+use oda::storage::{ColumnIndex, StorageError};
 use proptest::prelude::*;
 
 const TAGS: [&str; 4] = ["t0", "t1", "t2", "t3"];
@@ -25,6 +30,10 @@ const GROUP_ROWS: usize = 16;
 /// rows per row group; ts ascends globally so later thresholds prune
 /// earlier groups.
 fn build_table(tags: &[u8], values: &[f64]) -> Arc<TableFile> {
+    Arc::new(TableFile::open(table_bytes(tags, values)).unwrap())
+}
+
+fn table_bytes(tags: &[u8], values: &[f64]) -> Vec<u8> {
     let schema = TableSchema::new(&[
         ("ts", ColumnType::I64),
         ("sensor", ColumnType::Dict),
@@ -47,7 +56,7 @@ fn build_table(tags: &[u8], values: &[f64]) -> Arc<TableFile> {
         ])
         .unwrap();
     }
-    Arc::new(TableFile::open(w.finish()).unwrap())
+    w.finish()
 }
 
 /// Naive comparator: decode every row group, then filter in memory.
@@ -216,4 +225,60 @@ fn planned_scan_reports_pruning_stats() {
     assert_eq!(stats.index_hits, 1);
     assert!(stats.chunks_pruned > 0);
     assert_eq!(out.rows(), 16);
+}
+
+/// `file`, which indexes one column, with that index section swapped
+/// for `compress(raw)`. The section sits just before the footer and its
+/// location is the footer's last field, so only its `len` moves.
+fn with_index_section(file: &[u8], raw: &[u8]) -> Vec<u8> {
+    let n = file.len();
+    let footer_len = u64::from_le_bytes(file[n - 12..n - 4].try_into().unwrap()) as usize;
+    let footer = std::str::from_utf8(&file[n - 12 - footer_len..n - 12]).unwrap();
+    let (head, _) = footer.rsplit_once(",\"len\":").unwrap();
+    let offset: usize = head.rsplit_once("\"offset\":").unwrap().1.parse().unwrap();
+    let section = compress(raw);
+    let footer = format!("{head},\"len\":{}}}]}}", section.len());
+    let mut out = file[..offset].to_vec();
+    out.extend_from_slice(&section);
+    out.extend_from_slice(footer.as_bytes());
+    out.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    out.extend_from_slice(b"OCF1");
+    out
+}
+
+/// An index whose bitmap covers fewer rows than its row group fails the
+/// scan with a typed error. Zipping the row mask with such a bitmap left
+/// the uncovered rows set — every trailing row passed the filter,
+/// whatever its sensor, and the scan returned that wrong answer as if
+/// it were right.
+#[test]
+fn index_bitmap_shorter_than_its_group_fails_the_scan() {
+    // One 16-row group alternating t0/t1.
+    let tags: Vec<u8> = (0..GROUP_ROWS).map(|r| (r % 2) as u8).collect();
+    let values: Vec<f64> = (0..GROUP_ROWS).map(|r| r as f64).collect();
+    let bytes = table_bytes(&tags, &values);
+    let sensors: Vec<&str> = tags.iter().map(|&t| TAGS[usize::from(t)]).collect();
+    let scan = |bytes: Vec<u8>| {
+        Query::scan_table(Arc::new(TableFile::open(bytes).unwrap()))
+            .filter(Expr::col("sensor").eq_(Expr::LitS("t0".into())))
+            .select(&["v"])
+            .execute()
+    };
+
+    // The genuine section, spliced back in, gives back the same file
+    // and the right answer: the eight even rows.
+    let mut genuine = ColumnIndex::new();
+    genuine.add_group(0, GROUP_ROWS, sensors.iter().copied());
+    assert_eq!(with_index_section(&bytes, &genuine.to_bytes()), bytes);
+    let even: Vec<f64> = (0..GROUP_ROWS).step_by(2).map(|r| r as f64).collect();
+    assert_eq!(scan(bytes.clone()).unwrap().f64s("v").unwrap(), &even[..]);
+
+    // The same postings over only the first half of the group.
+    let mut short = ColumnIndex::new();
+    short.add_group(0, GROUP_ROWS / 2, sensors.iter().copied());
+    let err = scan(with_index_section(&bytes, &short.to_bytes())).unwrap_err();
+    assert!(
+        matches!(err, PipelineError::Storage(StorageError::Corrupt(_))),
+        "{err}"
+    );
 }
