@@ -119,15 +119,6 @@ impl LvaIndex {
         out
     }
 
-    /// Summaries filtered by archetype label.
-    pub fn query_archetype(&self, archetype: &str) -> Vec<ProfileSummary> {
-        self.profiles
-            .values()
-            .filter(|p| p.archetype == archetype)
-            .map(ProfileSummary::of)
-            .collect()
-    }
-
     /// Facility-level power line: total indexed job power per window
     /// over `[t0, t1)`, the "system view" panel of Fig. 8.
     pub fn system_power_series(&self, t0: i64, t1: i64, window_ms: i64) -> Vec<(i64, f64)> {
@@ -236,17 +227,6 @@ mod tests {
         let rows = idx.query_range(0, 100_000);
         assert_eq!(rows.len(), 1, "stale time-index entry leaked: {rows:?}");
         assert_eq!(rows[0].duration_s, 30.0);
-    }
-
-    #[test]
-    fn archetype_query_filters() {
-        let idx = LvaIndex::build(vec![
-            profile(1, 0, vec![1.0], "hpl"),
-            profile(2, 0, vec![2.0], "md"),
-            profile(3, 0, vec![3.0], "md"),
-        ]);
-        assert_eq!(idx.query_archetype("md").len(), 2);
-        assert_eq!(idx.query_archetype("debug").len(), 0);
     }
 
     #[test]

@@ -327,25 +327,6 @@ impl RollingWindow {
     }
 }
 
-/// Pure health score in [0, 1] (1 = healthy): multiplicative penalties
-/// for dropout fraction, stuck-at run length, and skew drift.
-/// Monotone non-increasing in `dropout_frac` with the other arguments
-/// held fixed (property-tested).
-pub fn health_score(
-    dropout_frac: f64,
-    stuck_run: u32,
-    stuck_limit: u32,
-    drift_ratio: f64,
-    drift_limit: f64,
-) -> f64 {
-    let dropout_pen = (1.0 - dropout_frac).clamp(0.0, 1.0);
-    let stuck = f64::from(stuck_run) / f64::from(stuck_limit.max(1));
-    let stuck_pen = 1.0 / (1.0 + stuck * stuck);
-    let drift = (drift_ratio.abs() / drift_limit.max(f64::EPSILON)).min(4.0);
-    let drift_pen = 1.0 / (1.0 + drift * drift);
-    dropout_pen * stuck_pen * drift_pen
-}
-
 // ---------------------------------------------------------------------------
 // Engine.
 // ---------------------------------------------------------------------------
@@ -1373,19 +1354,6 @@ mod tests {
                 prop_assert!((w.std() - w.batch_std()).abs() <= 1e-5 * scale,
                     "std drifted: {} vs {}", w.std(), w.batch_std());
             }
-        }
-
-        /// Health is monotone non-increasing in the dropout fraction.
-        #[test]
-        fn health_monotone_in_dropout(
-            d1 in 0.0f64..1.0, d2 in 0.0f64..1.0,
-            stuck in 0u32..20, drift in -0.5f64..0.5,
-        ) {
-            let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
-            let a = health_score(lo, stuck, 6, drift, 0.04);
-            let b = health_score(hi, stuck, 6, drift, 0.04);
-            prop_assert!(b <= a + 1e-12, "health rose with dropout: {a} -> {b}");
-            prop_assert!((0.0..=1.0).contains(&a) && (0.0..=1.0).contains(&b));
         }
 
         /// Feeding the engine one frame of N windows equals feeding the

@@ -10,9 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use oda_bench::{bronze_with_rows, job_fleet};
 use oda_pipeline::expr::Expr;
+use oda_pipeline::logical::Query;
 use oda_pipeline::medallion::job_context_frame;
 use oda_pipeline::ops::{group_by, pivot, Agg, AggSpec};
-use oda_pipeline::plan::{PipelinePlan, Stage};
 use oda_pipeline::window::assign_window;
 use std::hint::black_box;
 
@@ -79,32 +79,23 @@ fn bench_clauses(c: &mut Criterion) {
     });
     group.finish();
 
-    // The composed plan, with the per-stage report printed once.
-    let plan = PipelinePlan::new()
-        .then(Stage::Where(
-            Expr::col("quality")
-                .eq_(Expr::LitI(0))
-                .and(Expr::col("value").is_nan().not()),
-        ))
-        .then(Stage::Window {
-            ts_col: "ts_ms".into(),
-            width_ms: 15_000,
-        })
-        .then(Stage::GroupBy {
-            keys: vec!["window".into(), "node".into(), "sensor".into()],
-            aggs: vec![AggSpec::new("value", Agg::Mean, "value")],
-        })
-        .then(Stage::Pivot {
-            index: vec!["window".into(), "node".into()],
-            pivot_col: "sensor".into(),
-            value_col: "value".into(),
-            agg: Agg::Mean,
-        })
-        .then(Stage::Join {
-            right: ctx,
-            on: vec!["node".into()],
-        });
-    let (_, timings) = plan.execute_timed(bronze.clone()).unwrap();
+    // The composed query, with the per-clause report printed once.
+    let query = |bronze: oda_pipeline::Frame| {
+        Query::scan(bronze)
+            .filter(
+                Expr::col("quality")
+                    .eq_(Expr::LitI(0))
+                    .and(Expr::col("value").is_nan().not()),
+            )
+            .window("ts_ms", 15_000)
+            .group_by(
+                &["window", "node", "sensor"],
+                &[AggSpec::new("value", Agg::Mean, "value")],
+            )
+            .pivot(&["window", "node"], "sensor", "value", Agg::Mean)
+            .join(ctx.clone(), &["node"])
+    };
+    let (_, timings) = query(bronze.clone()).execute_timed().unwrap();
     println!("\n=== F4b: clause cost breakdown ({ROWS} bronze rows) ===");
     let total: f64 = timings.iter().map(|t| t.seconds).sum();
     for t in &timings {
@@ -129,7 +120,7 @@ fn bench_clauses(c: &mut Criterion) {
     let mut group = c.benchmark_group("f4b_full_plan");
     group.sample_size(10);
     group.bench_function("bronze_to_silver_1M", |b| {
-        b.iter(|| black_box(plan.execute(bronze.clone()).unwrap()))
+        b.iter(|| black_box(query(bronze.clone()).execute().unwrap()))
     });
     group.finish();
 }

@@ -110,11 +110,11 @@ fn bench_glacier(c: &mut Criterion) {
         let glacier = Glacier::new();
         b.iter(|| {
             i += 1;
-            glacier.archive(&format!("a{i}"), &wire, 0).unwrap();
+            glacier.archive(&format!("a{i}"), &wire).unwrap();
         })
     });
     let glacier = Glacier::new();
-    glacier.archive("x", &wire, 0).unwrap();
+    glacier.archive("x", &wire).unwrap();
     group.bench_function("recall", |b| {
         b.iter(|| black_box(glacier.recall("x").unwrap().0.len()))
     });

@@ -78,7 +78,7 @@ mod tests {
         assert_eq!(e.fault_class(), FaultClass::Fatal);
 
         let e: OdaError = PipelineError::InvalidQuery("no source".into()).into();
-        assert!(e.to_string().contains("invalid streaming query"));
+        assert!(e.to_string().contains("invalid query"));
         assert_eq!(e.fault_class(), FaultClass::Fatal);
 
         let e: OdaError = StorageError::NotFound("x".into()).into();

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use oda_analytics::{Copacetic, LvaIndex, RatsReport, UaDashboard};
     pub use oda_govern::{DataRuc, MaturityMatrix, ReleaseRequest, Sanitizer};
     pub use oda_ml::{FeatureStore, ProfileClassifier, SelfOrganizingMap};
-    pub use oda_pipeline::{Frame, PipelinePlan};
+    pub use oda_pipeline::{Frame, Query};
     pub use oda_storage::{DataClass, Glacier, Lake, Ocean};
     pub use oda_stream::{Broker, Consumer, RetentionPolicy};
     pub use oda_telemetry::{SystemModel, TelemetryGenerator};

@@ -53,12 +53,6 @@ impl AccessControl {
             .insert((project.into(), channel, dataset.into()));
     }
 
-    /// Revoke a grant; returns whether it existed.
-    pub fn revoke(&mut self, project: &str, channel: Channel, dataset: &str) -> bool {
-        self.grants
-            .remove(&(project.into(), channel, dataset.into()))
-    }
-
     /// Check-and-log an access attempt.
     pub fn access(&mut self, project: &str, channel: Channel, dataset: &str) -> bool {
         let allowed = self
@@ -112,18 +106,6 @@ mod tests {
         assert_eq!(ac.log().len(), 2);
         assert!(ac.log()[0].allowed);
         assert!(!ac.log()[1].allowed);
-    }
-
-    #[test]
-    fn revoke_removes_access() {
-        let mut ac = AccessControl::new();
-        ac.grant("P", Channel::Export, "d");
-        assert!(ac.revoke("P", Channel::Export, "d"));
-        assert!(!ac.access("P", Channel::Export, "d"));
-        assert!(
-            !ac.revoke("P", Channel::Export, "d"),
-            "double revoke is false"
-        );
     }
 
     #[test]

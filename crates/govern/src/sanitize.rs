@@ -34,11 +34,6 @@ impl Sanitizer {
         format!("u-{:08x}", self.hash(&format!("user:{user}")) as u32)
     }
 
-    /// Pseudonymous project token ("p-9b1f0042").
-    pub fn project_token(&self, project: &str) -> String {
-        format!("p-{:08x}", self.hash(&format!("project:{project}")) as u32)
-    }
-
     /// Scrub PII-looking substrings from free text: e-mail addresses
     /// (also inside parentheses) and `userNNN` / `user NNN` references.
     pub fn scrub_text(&self, text: &str) -> String {
@@ -102,8 +97,6 @@ mod tests {
         let s = Sanitizer::new(1);
         let t = s.user_token(123_456);
         assert!(!t.contains("123456"));
-        let p = s.project_token("PRJ042");
-        assert!(!p.contains("042"));
     }
 
     #[test]

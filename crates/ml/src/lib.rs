@@ -16,7 +16,7 @@
 //!   role in Fig. 9's pipeline).
 //! * [`tracking`] — experiment runs, params, metrics, and a model
 //!   registry (the MLflow role).
-//! * [`metrics`] — accuracy, confusion matrices, macro-F1.
+//! * [`metrics`] — accuracy and confusion matrices.
 //!
 //! Determinism is load-bearing: identical feature-store versions and
 //! seeds reproduce models bit-for-bit (the Fig. 9 reproducibility

@@ -23,43 +23,6 @@ pub fn confusion_matrix(predictions: &[usize], labels: &[usize], classes: usize)
     m
 }
 
-/// Macro-averaged F1 over classes (classes absent from both truth and
-/// prediction are skipped).
-#[allow(clippy::needless_range_loop)] // class-indexed confusion math
-pub fn macro_f1(predictions: &[usize], labels: &[usize], classes: usize) -> f64 {
-    let m = confusion_matrix(predictions, labels, classes);
-    let mut f1_sum = 0.0;
-    let mut counted = 0;
-    for c in 0..classes {
-        let tp = m[c][c] as f64;
-        let fp: f64 = (0..classes)
-            .filter(|&t| t != c)
-            .map(|t| m[t][c] as f64)
-            .sum();
-        let fn_: f64 = (0..classes)
-            .filter(|&p| p != c)
-            .map(|p| m[c][p] as f64)
-            .sum();
-        if tp + fp + fn_ == 0.0 {
-            continue;
-        }
-        let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-        let recall = if tp + fn_ > 0.0 { tp / (tp + fn_) } else { 0.0 };
-        let f1 = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        f1_sum += f1;
-        counted += 1;
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        f1_sum / counted as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,15 +46,5 @@ mod tests {
     fn perfect_predictions_score_one() {
         let labels = [0, 1, 2, 0, 1, 2];
         assert_eq!(accuracy(&labels, &labels), 1.0);
-        assert!((macro_f1(&labels, &labels, 3) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f1_penalizes_collapsed_predictions() {
-        // Everything predicted as class 0.
-        let preds = [0, 0, 0, 0];
-        let labels = [0, 0, 1, 1];
-        let f1 = macro_f1(&preds, &labels, 2);
-        assert!(f1 < 0.5, "collapsed predictor f1 {f1}");
     }
 }

@@ -115,15 +115,6 @@ impl MetricsSnapshot {
             .max()
             .unwrap_or(0)
     }
-
-    /// Total observation count across the histogram series of `family`.
-    pub fn histogram_count(&self, family: &str) -> u64 {
-        self.histograms
-            .iter()
-            .filter(|((name, _), _)| name == family)
-            .map(|(_, h)| h.count())
-            .fold(0u64, u64::saturating_add)
-    }
 }
 
 /// Selects counter/gauge series: a family name plus an optional
@@ -838,7 +829,8 @@ mod tests {
         if crate::enabled() {
             assert_eq!(snap.counter_sum(&Selector::family("a_total")), 4);
             assert_eq!(snap.gauge_max(&Selector::family("g_level")), -2);
-            assert_eq!(snap.histogram_count("h_ns"), 1);
+            let h_ns: u64 = snap.histograms.values().map(|h| h.count()).sum();
+            assert_eq!(h_ns, 1);
         } else {
             assert_eq!(snap.counter_sum(&Selector::family("a_total")), 0);
         }

@@ -6,8 +6,8 @@
 //! are what let operators trust a 4+ TB/day pipeline. This crate is
 //! that layer for the reproduction: a lock-cheap metric registry
 //! ([`Registry`]) holding monotonic [`Counter`]s, [`Gauge`]s, and
-//! fixed-bucket [`Histogram`]s, plus lightweight span timing
-//! ([`span`]) with stable IDs, and a Prometheus-style text exposition
+//! fixed-bucket [`Histogram`]s, a compile-out stage timer
+//! ([`Stopwatch`]), and a Prometheus-style text exposition
 //! ([`Registry::render_prometheus`]).
 //!
 //! Aggregates alone cannot reconstruct a single epoch's causal path, so
@@ -70,7 +70,7 @@ pub use histogram::{exponential_bounds, Histogram, HistogramSnapshot};
 pub use lineage::{Lineage, LineageNode, LineageNodeId, LineageQuery};
 pub use metric::{Counter, Gauge};
 pub use registry::Registry;
-pub use span::{span_id, Span, SpanId, Stopwatch};
+pub use span::Stopwatch;
 pub use trace::{
     fnv1a, trace_id, trace_span, TraceEvent, TraceEventKind, TraceId, TraceJournal, TraceSpanId,
     Tracer, DEFAULT_JOURNAL_CAPACITY, SERVICE_TRACE,

@@ -245,15 +245,6 @@ impl LineageQuery {
             .collect()
     }
 
-    /// Edges leaving `id` (its direct products), with relations.
-    pub fn edges_out(&self, id: LineageNodeId) -> Vec<(&LineageNode, &str)> {
-        self.edges
-            .iter()
-            .filter(|(from, _, _)| *from == id)
-            .filter_map(|(_, to, rel)| self.nodes.get(to).map(|n| (n, rel.as_str())))
-            .collect()
-    }
-
     /// Every ancestor of `id` (transitive provenance), BFS order with
     /// depth (1 = direct parent). Deterministic: each frontier is
     /// expanded in stable edge order and revisits are suppressed.

@@ -114,17 +114,6 @@ impl Registry {
         })
     }
 
-    /// Sum of a counter family across all label sets (0 if absent).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.inner
-            .counters
-            .read()
-            .expect("obs registry poisoned")
-            .get(name)
-            .map(|f| f.series.values().map(|c| c.get()).sum())
-            .unwrap_or(0)
-    }
-
     /// Value of one exact counter series (0 if absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         self.inner
@@ -364,18 +353,6 @@ h_ns_count 1
             assert!(text.contains("# TYPE a_total counter"));
             assert!(text.contains("a_total{p=\"0\"} 0"));
         }
-    }
-
-    #[test]
-    fn counter_total_sums_series() {
-        let r = Registry::new();
-        r.counter("z_total", "z", &[("s", "x")]).add(2);
-        r.counter("z_total", "z", &[("s", "y")]).add(3);
-        if crate::enabled() {
-            assert_eq!(r.counter_total("z_total"), 5);
-            assert_eq!(r.counter_value("z_total", &[("s", "y")]), 3);
-        }
-        assert_eq!(r.counter_total("missing_total"), 0);
     }
 
     #[test]

@@ -1,26 +1,8 @@
-//! Lightweight span timing with stable IDs.
+//! Stage timing behind the `collect` gate.
 //!
-//! A [`SpanId`] is the FNV-1a hash of the span's name — stable across
-//! runs, builds, and hosts, so logs and metrics that key on it can be
-//! correlated without a registration step. [`Stopwatch`] wraps
-//! `Instant` behind the `collect` gate (elapsed is 0 ns when compiled
-//! out); [`Span`] is an RAII guard that records its elapsed nanoseconds
-//! into a histogram on drop.
-
-use std::sync::Arc;
-
-use crate::histogram::Histogram;
-
-/// Stable 64-bit identifier for a named span (FNV-1a of the name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SpanId(pub u64);
-
-/// FNV-1a hash of `name` — deterministic across processes, unlike
-/// `DefaultHasher` which is seeded per-process. Shares the one pinned
-/// hash ([`crate::trace::fnv1a`]) with trace IDs and frame digests.
-pub const fn span_id(name: &str) -> SpanId {
-    SpanId(crate::trace::fnv1a(name.as_bytes()))
-}
+//! [`Stopwatch`] wraps `Instant` so a timed call site needs no `cfg` of
+//! its own: elapsed is 0 ns when collection is compiled out. Per-unit
+//! spans with stable IDs are the trace journal's ([`crate::trace`]).
 
 /// A monotonic timer that compiles down to nothing without `collect`.
 #[derive(Debug, Clone, Copy)]
@@ -59,76 +41,9 @@ impl Default for Stopwatch {
     }
 }
 
-/// RAII guard: records elapsed nanoseconds into `sink` when dropped.
-///
-/// ```
-/// let reg = oda_obs::Registry::new();
-/// let h = reg.histogram("stage_ns", "stage latency", &[], &[1_000, 1_000_000]);
-/// {
-///     let _span = oda_obs::Span::enter("decode", &h);
-///     // ... timed work ...
-/// }
-/// assert_eq!(h.snapshot().count(), u64::from(oda_obs::enabled()));
-/// ```
-#[derive(Debug)]
-pub struct Span {
-    id: SpanId,
-    watch: Stopwatch,
-    sink: Arc<Histogram>,
-}
-
-impl Span {
-    /// Start a span named `name`, recording into `sink` on drop.
-    pub fn enter(name: &str, sink: &Arc<Histogram>) -> Self {
-        Self {
-            id: span_id(name),
-            watch: Stopwatch::start(),
-            sink: Arc::clone(sink),
-        }
-    }
-
-    /// The span's stable identifier.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    /// Nanoseconds elapsed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.watch.elapsed_ns()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.sink.observe(self.watch.elapsed_ns());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_ids_are_stable_and_distinct() {
-        assert_eq!(span_id("fetch"), span_id("fetch"));
-        assert_ne!(span_id("fetch"), span_id("decode"));
-        // Pinned value: FNV-1a("fetch") must never drift across builds.
-        assert_eq!(span_id("").0, 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn span_records_on_drop() {
-        let h = Arc::new(Histogram::new(&[1_000_000_000]));
-        {
-            let s = Span::enter("work", &h);
-            assert_eq!(s.id(), span_id("work"));
-        }
-        if crate::enabled() {
-            assert_eq!(h.snapshot().count(), 1);
-        } else {
-            assert_eq!(h.snapshot().count(), 0);
-        }
-    }
 
     #[test]
     fn stopwatch_is_monotone() {

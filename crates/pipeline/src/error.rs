@@ -34,7 +34,9 @@ pub enum PipelineError {
         /// The epoch that was offered.
         got: u64,
     },
-    /// A `StreamingQueryBuilder::build` rejected the configuration.
+    /// A query was malformed: a plan argument out of range (a
+    /// non-positive window width) or a configuration
+    /// `StreamingQueryBuilder::build` rejected.
     InvalidQuery(String),
 }
 
@@ -54,7 +56,7 @@ impl fmt::Display for PipelineError {
                 f,
                 "checkpoint epochs must be dense: expected {expected}, got {got}"
             ),
-            PipelineError::InvalidQuery(m) => write!(f, "invalid streaming query: {m}"),
+            PipelineError::InvalidQuery(m) => write!(f, "invalid query: {m}"),
         }
     }
 }

@@ -253,17 +253,6 @@ impl Evaluated {
     }
 }
 
-/// Add a computed column: `frame` plus `name = expr` (always F64).
-///
-/// This is the SELECT-with-derivation idiom of Gold featurization —
-/// e.g. watts per node, energy from power x time, ratios of counters.
-pub fn with_column(frame: &Frame, name: &str, expr: &Expr) -> Result<Frame, PipelineError> {
-    let values = expr.eval_f64(frame)?;
-    let mut out = frame.clone();
-    out.push_column(name, ColumnData::F64(values.into()))?;
-    Ok(out)
-}
-
 fn cmp(op: CmpOp, a: &Evaluated, b: &Evaluated) -> Result<Vec<bool>, PipelineError> {
     let test_f = |x: f64, y: f64| match op {
         CmpOp::Eq => x == y,
@@ -399,10 +388,6 @@ mod tests {
         let out = e.eval_f64(&f).unwrap();
         assert!((out[0] - 0.1).abs() < 1e-12);
         assert!(out[1].is_nan());
-        // Computed column lands on the frame.
-        let g = with_column(&f, "v_per_ts", &(Expr::col("v") / Expr::col("ts"))).unwrap();
-        assert_eq!(g.names().last().map(String::as_str), Some("v_per_ts"));
-        assert_eq!(g.f64s("v_per_ts").unwrap().len(), 3);
         // Arithmetic on strings is rejected.
         assert!((Expr::col("s") + Expr::LitI(1)).eval_f64(&f).is_err());
         // Comparisons over arithmetic results compose.

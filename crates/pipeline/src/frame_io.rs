@@ -50,29 +50,6 @@ pub fn append_frame(dataset: &OceanDataset, frame: &Frame) -> Result<String, Pip
     Ok(dataset.append(frame.columns())?)
 }
 
-/// Read a whole OCEAN dataset into one frame.
-pub fn read_dataset(dataset: &OceanDataset) -> Result<Frame, PipelineError> {
-    let schema = dataset.schema().clone();
-    let mut frames = Vec::new();
-    for part in dataset.parts() {
-        let file = dataset.open_part(&part)?;
-        for g in 0..file.row_group_count() {
-            let cols = file.read_row_group(g)?;
-            let named = schema
-                .columns
-                .iter()
-                .map(|(n, _)| n.clone())
-                .zip(cols)
-                .collect();
-            frames.push(Frame::new(named)?);
-        }
-    }
-    if frames.is_empty() {
-        return Ok(Frame::empty(&schema));
-    }
-    Frame::concat(&frames)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,14 +108,11 @@ mod tests {
         let f = sample();
         let ds = OceanDataset::create(ocean, "b", "frames", f.schema()).unwrap();
         append_frame(&ds, &f).unwrap();
-        append_frame(&ds, &f).unwrap();
-        let back = read_dataset(&ds).unwrap();
-        assert_eq!(back.rows(), 2_000);
-        assert_eq!(
-            back.i64s("ts").unwrap()[1_000],
-            0,
-            "second part follows the first"
-        );
+        let second = append_frame(&ds, &f).unwrap();
+        assert_eq!(ds.parts().len(), 2);
+        assert_eq!(ds.num_rows().unwrap(), 2_000);
+        let part = ds.open_part(&second).unwrap();
+        assert_eq!(part.read_row_group(0).unwrap(), f.columns());
     }
 
     #[test]

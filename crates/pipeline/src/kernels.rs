@@ -107,18 +107,6 @@ pub fn mask_and_str_eq(mask: &mut [bool], vals: &[String], value: &str, want: bo
     }
 }
 
-/// `x op y` under IEEE semantics (NaN false for all but `!=`).
-pub fn cmp_f64(op: CmpOp, x: f64, y: f64) -> bool {
-    match op {
-        CmpOp::Eq => x == y,
-        CmpOp::Ne => x != y,
-        CmpOp::Lt => x < y,
-        CmpOp::Le => x <= y,
-        CmpOp::Gt => x > y,
-        CmpOp::Ge => x >= y,
-    }
-}
-
 /// AND `x op value` into `mask` over f64 values. The operator match is
 /// hoisted out of the loop.
 pub fn mask_and_cmp_f64(mask: &mut [bool], vals: &[f64], op: CmpOp, value: f64) {
@@ -260,27 +248,6 @@ pub(crate) fn accumulate_cells_i64(
     }
 }
 
-/// Sum of non-NaN values.
-pub fn sum_f64(vals: &[f64]) -> f64 {
-    vals.iter().filter(|v| !v.is_nan()).sum()
-}
-
-/// `(min, max)` over non-NaN values; `None` when every value is NaN or
-/// the slice is empty.
-pub fn min_max_f64(vals: &[f64]) -> Option<(f64, f64)> {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut seen = false;
-    for &v in vals {
-        if !v.is_nan() {
-            min = min.min(v);
-            max = max.max(v);
-            seen = true;
-        }
-    }
-    seen.then_some((min, max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,9 +332,6 @@ mod tests {
             let mut mask = vec![true; 3];
             mask_and_cmp_f64(&mut mask, &vals, op, 2.0);
             assert_eq!(mask, expect, "{op:?}");
-            for (i, &v) in vals.iter().enumerate() {
-                assert_eq!(cmp_f64(op, v, 2.0), expect[i]);
-            }
         }
         let ints = [1i64, 2, 3];
         let mut mask = vec![true; 3];
@@ -407,13 +371,5 @@ mod tests {
         let mut icells = vec![vec![NumAcc::new()]];
         accumulate_cells_i64(&mut icells, &[0], &[0], &[7]);
         assert_eq!(icells[0][0].get(Agg::Last), 7.0);
-    }
-
-    #[test]
-    fn slice_reductions_skip_nan() {
-        assert_eq!(sum_f64(&[1.0, f64::NAN, 2.0]), 3.0);
-        assert_eq!(min_max_f64(&[3.0, f64::NAN, -1.0]), Some((-1.0, 3.0)));
-        assert_eq!(min_max_f64(&[f64::NAN]), None);
-        assert_eq!(min_max_f64(&[]), None);
     }
 }

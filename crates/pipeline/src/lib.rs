@@ -2,9 +2,10 @@
 //!
 //! The Spark-structured-streaming analogue of the paper (§V-B): typed
 //! columnar [`frame::Frame`]s, relational operators ([`ops`]), tumbling
-//! windows ([`window`]), a SQL-clause pipeline plan mirroring the
-//! anatomy of Fig. 4-b ([`plan`]), and a checkpointed micro-batch engine
-//! over the STREAM broker with exactly-once sinks ([`streaming`]).
+//! windows ([`window`]), one logical query plan whose builder is the
+//! SQL-clause anatomy of Fig. 4-b ([`logical`]), and a checkpointed
+//! micro-batch engine over the STREAM broker with exactly-once sinks
+//! ([`streaming`]).
 //!
 //! The ODA-specific refinement stages — Bronze → Silver → Gold of the
 //! "Medallion Architecture" the paper adapts — live in [`medallion`]:
@@ -23,7 +24,6 @@ pub mod logical;
 pub mod medallion;
 pub mod metrics;
 pub mod ops;
-pub mod plan;
 pub(crate) mod rowkey;
 pub mod state;
 pub mod streaming;
@@ -34,7 +34,8 @@ pub use error::PipelineError;
 pub use executor::{EpochMeta, EpochTimings};
 pub use expr::Expr;
 pub use frame::{Frame, StrColumn};
-pub use logical::{ExecContext, ExecStats, LogicalPlan, Query, ScanPredicate, ScanSource, SortKey};
+pub use logical::{
+    ExecContext, ExecStats, LogicalPlan, Query, ScanPredicate, ScanSource, SortKey, StageTiming,
+};
 pub use metrics::{PipelineMetrics, PlanMetrics};
-pub use plan::{PipelinePlan, Stage, StageTiming};
 pub use streaming::{MemorySink, Sink, StreamingQuery, StreamingQueryBuilder};

@@ -1,8 +1,8 @@
 //! Unified logical query plan with predicate pushdown and secondary
 //! indexes.
 //!
-//! Every read path in the stack — LAKE range queries, [`PipelinePlan`]
-//! clause lists, analytics scans — describes *what* it wants as a
+//! Every read path in the stack — LAKE range queries, the medallion's
+//! Fig. 4-b clause list, analytics scans — describes *what* it wants as a
 //! [`LogicalPlan`] tree and lets one optimizer decide *how*: predicates
 //! and projections are pushed into the [`LogicalPlan::Scan`] node, where
 //! the executor cashes them out as colfile row-group pruning (footer
@@ -34,8 +34,6 @@
 //!     .unwrap();
 //! assert_eq!(out.rows(), 1);
 //! ```
-//!
-//! [`PipelinePlan`]: crate::plan::PipelinePlan
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -55,7 +53,8 @@ use crate::window::assign_window;
 /// What a [`LogicalPlan::Scan`] reads from.
 #[derive(Debug, Clone)]
 pub enum ScanSource {
-    /// An in-memory frame (streaming epochs, lowered pipeline plans).
+    /// An in-memory frame (streaming epochs, batch Bronze, the per-node
+    /// inputs of [`Query::execute_timed`]).
     Frame(Frame),
     /// A parsed colfile — the only source with row groups to prune.
     Table(Arc<TableFile>),
@@ -374,6 +373,37 @@ impl LogicalPlan {
         let mut out = String::new();
         render(self, 0, &mut out);
         out
+    }
+
+    /// The SQL clause this node is in the Fig. 4-b anatomy ("FROM",
+    /// "WHERE", "GROUP BY", ...).
+    pub fn clause(&self) -> &'static str {
+        match self {
+            LogicalPlan::Scan { .. } => "FROM",
+            LogicalPlan::Filter { .. } => "WHERE",
+            LogicalPlan::Project { .. } => "SELECT",
+            LogicalPlan::Window { .. } => "WINDOW",
+            LogicalPlan::Aggregate { .. } => "GROUP BY",
+            LogicalPlan::Pivot { .. } => "PIVOT",
+            LogicalPlan::Join { .. } => "JOIN",
+            LogicalPlan::Sort { .. } => "SORT",
+            LogicalPlan::Limit { .. } => "LIMIT",
+        }
+    }
+
+    /// The node's one input; `None` for a scan.
+    fn input_mut(&mut self) -> Option<&mut LogicalPlan> {
+        match self {
+            LogicalPlan::Scan { .. } => None,
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Window { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Pivot { input, .. }
+            | LogicalPlan::Join { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => Some(input),
+        }
     }
 }
 
@@ -1181,11 +1211,6 @@ impl Query {
         }
     }
 
-    /// Parse colfile bytes and scan them.
-    pub fn scan_colfile(bytes: Vec<u8>) -> Result<Query, PipelineError> {
-        Ok(Query::scan_table(Arc::new(TableFile::open(bytes)?)))
-    }
-
     /// WHERE: keep rows matching `predicate`.
     pub fn filter(self, predicate: Expr) -> Query {
         self.wrap(|input| LogicalPlan::Filter { input, predicate })
@@ -1288,6 +1313,50 @@ impl Query {
     pub fn execute_with(self, ctx: &ExecContext) -> Result<(Frame, ExecStats), PipelineError> {
         self.plan.optimize().execute_with(ctx)
     }
+
+    /// Execute with per-clause timing (the Fig. 4-b measurement): one
+    /// [`StageTiming`] per non-scan node, input first. Each node runs
+    /// un-optimised over a scan of the previous node's frame, so the
+    /// timings stay 1:1 with the clauses; the output is the one
+    /// [`Query::execute`] returns.
+    pub fn execute_timed(mut self) -> Result<(Frame, Vec<StageTiming>), PipelineError> {
+        let mut timings = Vec::new();
+        let frame = exec_timed(&mut self.plan, &mut timings)?;
+        Ok((frame, timings))
+    }
+}
+
+/// Wall-clock cost of one clause of [`Query::execute_timed`].
+#[derive(Debug, Clone)]
+pub struct StageTiming {
+    /// Clause label ([`LogicalPlan::clause`]).
+    pub stage: String,
+    /// Execution time in seconds.
+    pub seconds: f64,
+    /// Rows flowing out of the clause.
+    pub rows_out: usize,
+}
+
+/// Run `plan` bottom-up, one node at a time: each non-scan node has its
+/// input replaced by a scan of that input's frame, then runs and is
+/// timed on its own.
+fn exec_timed(
+    plan: &mut LogicalPlan,
+    timings: &mut Vec<StageTiming>,
+) -> Result<Frame, PipelineError> {
+    let Some(input) = plan.input_mut() else {
+        return plan.execute();
+    };
+    let frame = exec_timed(input, timings)?;
+    *input = Query::scan(frame).into_plan();
+    let start = Instant::now();
+    let out = plan.execute()?;
+    timings.push(StageTiming {
+        stage: plan.clause().to_string(),
+        seconds: start.elapsed().as_secs_f64(),
+        rows_out: out.rows(),
+    });
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1467,5 +1536,165 @@ mod tests {
         assert_eq!(out.rows(), 12);
         // One chunk per group instead of three.
         assert_eq!(stats.chunks_read, 3);
+    }
+
+    /// Long-format observations: 2 nodes x 2 sensors x 20 ticks.
+    fn bronze() -> Frame {
+        let mut ts = Vec::new();
+        let mut node = Vec::new();
+        let mut sensor = Vec::new();
+        let mut value = Vec::new();
+        for t in 0..20i64 {
+            for n in [1i64, 2] {
+                for (s, base) in [("power", 100.0), ("temp", 30.0)] {
+                    ts.push(t * 1_000);
+                    node.push(n);
+                    sensor.push(s.to_string());
+                    value.push(base * n as f64 + t as f64);
+                }
+            }
+        }
+        Frame::new(vec![
+            ("ts".into(), ColumnData::I64(ts.into())),
+            ("node".into(), ColumnData::I64(node.into())),
+            ("sensor".into(), ColumnData::Str(sensor.into())),
+            ("value".into(), ColumnData::F64(value.into())),
+        ])
+        .unwrap()
+    }
+
+    fn job_context() -> Frame {
+        Frame::new(vec![
+            ("node".into(), ColumnData::I64(vec![1, 2].into())),
+            ("job".into(), ColumnData::I64(vec![101, 102].into())),
+        ])
+        .unwrap()
+    }
+
+    /// The Silver core of Fig. 4-b: WHERE -> WINDOW -> GROUP BY -> PIVOT.
+    fn silver_core(bronze: Frame, predicate: Expr) -> Query {
+        Query::scan(bronze)
+            .filter(predicate)
+            .window("ts", 5_000)
+            .group_by(
+                &["window", "node", "sensor"],
+                &[AggSpec::new("value", Agg::Mean, "value")],
+            )
+            .pivot(&["window", "node"], "sensor", "value", Agg::Mean)
+    }
+
+    #[test]
+    fn full_bronze_to_silver_plan() {
+        // The Fig. 4-b anatomy: WHERE -> WINDOW -> GROUP BY -> PIVOT -> JOIN.
+        let silver = silver_core(bronze(), Expr::col("value").is_nan().not())
+            .join(job_context(), &["node"])
+            .execute()
+            .unwrap();
+        // 4 windows x 2 nodes = 8 rows; columns window,node,power,temp,job.
+        assert_eq!(silver.rows(), 8);
+        assert!(silver.index_of("power").is_ok());
+        assert!(silver.index_of("temp").is_ok());
+        assert!(silver.index_of("job").is_ok());
+        // Window 0 node 1: mean over t=0..4 of 100+t = 102.
+        let w = silver.i64s("window").unwrap();
+        let n = silver.i64s("node").unwrap();
+        let p = silver.f64s("power").unwrap();
+        let row = (0..8).find(|&i| w[i] == 0 && n[i] == 1).unwrap();
+        assert!((p[row] - 102.0).abs() < 1e-9);
+        assert_eq!(silver.i64s("job").unwrap()[row], 101);
+    }
+
+    /// The Silver core (WHERE -> WINDOW -> GROUP BY -> PIVOT) is blind
+    /// to how the categorical column is stored: dictionary-encoded
+    /// bronze, shuffled dictionary with an unused entry included,
+    /// produces the same bytes as per-row strings.
+    #[test]
+    fn silver_core_is_independent_of_categorical_representation() {
+        let by_str = bronze();
+        let codes = by_str
+            .strs("sensor")
+            .unwrap()
+            .iter()
+            .map(|s| if s == "power" { 2 } else { 0 })
+            .collect();
+        let mut cols: Vec<(String, ColumnData)> = by_str
+            .names()
+            .iter()
+            .cloned()
+            .zip(by_str.columns().iter().cloned())
+            .collect();
+        cols[2].1 = ColumnData::dict(vec!["temp".into(), "unused".into(), "power".into()], codes);
+        let by_dict = Frame::new(cols).unwrap();
+        assert!(by_dict.dict("sensor").is_ok());
+
+        let filter = || Expr::col("value").ge(Expr::LitF(35.0));
+        let silver_str = silver_core(by_str, filter()).execute().unwrap();
+        let silver_dict = silver_core(by_dict, filter()).execute().unwrap();
+        // The filter empties (window 0, node 1, temp): a NaN gap fill,
+        // so compare encoded bytes rather than IEEE equality.
+        assert!(silver_str.f64s("temp").unwrap().iter().any(|v| v.is_nan()));
+        assert_eq!(
+            crate::frame_io::frame_to_colfile(&silver_dict).unwrap(),
+            crate::frame_io::frame_to_colfile(&silver_str).unwrap()
+        );
+    }
+
+    #[test]
+    fn timed_execution_reports_every_stage() {
+        let (out, timings) = Query::scan(bronze())
+            .filter(Expr::col("value").ge(Expr::LitF(0.0)))
+            .select(&["ts", "value"])
+            .execute_timed()
+            .unwrap();
+        assert_eq!(out.names(), &["ts", "value"]);
+        assert_eq!(timings.len(), 2);
+        assert_eq!(timings[0].stage, "WHERE");
+        assert_eq!(timings[1].stage, "SELECT");
+        assert!(timings.iter().all(|t| t.seconds >= 0.0));
+        assert_eq!(timings[1].rows_out, out.rows());
+    }
+
+    /// The clause list could only spell WHERE..SELECT; the timed path
+    /// covers every node, over a colfile as well as a frame, and returns
+    /// the bytes the optimised path does.
+    #[test]
+    fn timed_execution_covers_sort_limit_and_project_over_a_table() {
+        let q = Query::scan_table(indexed_table())
+            .filter(Expr::col("value").ge(Expr::LitF(2.0)))
+            .sort_by_str("sensor")
+            .limit(5)
+            .select(&["sensor", "ts"]);
+        let (timed, timings) = q.clone().execute_timed().unwrap();
+        let stages: Vec<&str> = timings.iter().map(|t| t.stage.as_str()).collect();
+        assert_eq!(stages, ["WHERE", "SORT", "LIMIT", "SELECT"]);
+        let rows: Vec<usize> = timings.iter().map(|t| t.rows_out).collect();
+        assert_eq!(rows, [10, 10, 5, 5]);
+        assert_eq!(
+            crate::frame_io::frame_to_colfile(&timed).unwrap(),
+            crate::frame_io::frame_to_colfile(&q.execute().unwrap()).unwrap()
+        );
+    }
+
+    #[test]
+    fn failing_stage_propagates_error() {
+        let select = Query::scan(bronze()).select(&["nope"]);
+        assert!(select.clone().execute().is_err());
+        assert!(select.execute_timed().is_err());
+        // A non-positive window width is a typed error, not a panic.
+        for width in [0, -15_000] {
+            let window = Query::scan(bronze()).window("ts", width);
+            let err = window.clone().execute().unwrap_err();
+            assert!(matches!(err, PipelineError::InvalidQuery(_)), "{err}");
+            assert!(window.execute_timed().is_err());
+        }
+    }
+
+    #[test]
+    fn empty_plan_is_identity() {
+        let f = bronze();
+        assert_eq!(Query::scan(f.clone()).execute().unwrap(), f);
+        let (out, timings) = Query::scan(f.clone()).execute_timed().unwrap();
+        assert_eq!(out, f);
+        assert!(timings.is_empty(), "a bare scan is not a clause");
     }
 }

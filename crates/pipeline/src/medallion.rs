@@ -7,17 +7,18 @@
 //!   report tables, ML features).
 //!
 //! Both execution modes the paper discusses are provided: *batch*
-//! (a [`PipelinePlan`] re-run over Bronze) and *streaming* (a stateful
+//! (a [`Query`] re-run over Bronze) and *streaming* (a stateful
 //! transform precomputing Silver incrementally — the §VI-B design
 //! decision that "amortizes the cost of refining datasets").
 
 use crate::error::PipelineError;
 use crate::expr::Expr;
 use crate::frame::Frame;
+use crate::logical::Query;
 use crate::ops::{Agg, AggSpec};
-use crate::plan::{PipelinePlan, Stage};
 use crate::state::{CellState, KeyId, StateStore};
 use crate::streaming::{Decoder, PartitionMap, Transform};
+use crate::window::window_start;
 use oda_faults::{FaultPoint, FaultSite};
 use oda_storage::colfile::ColumnData;
 use oda_storage::intern::StringInterner;
@@ -210,41 +211,31 @@ pub fn job_context_frame(jobs: &[Job]) -> Frame {
     .expect("equal-length columns by construction")
 }
 
-/// The batch Bronze→Silver plan of Fig. 4-b: quality filter → window →
-/// group-by mean → pivot sensors wide → join job context on node, then
-/// restrict to windows inside the job's allocation interval (a node is
-/// reused by many jobs over time; joining on node alone would attribute
-/// every window to every job that ever held the node).
-pub fn bronze_to_silver_plan(window_ms: i64, job_ctx: Frame) -> PipelinePlan {
-    PipelinePlan::new()
-        .then(Stage::Where(
+/// The batch Bronze→Silver query of Fig. 4-b over `bronze`: quality
+/// filter → window → group-by mean → pivot sensors wide → join job
+/// context on node, then restrict to windows inside the job's
+/// allocation interval (a node is reused by many jobs over time; joining
+/// on node alone would attribute every window to every job that ever
+/// held the node).
+pub fn bronze_to_silver(bronze: Frame, window_ms: i64, job_ctx: Frame) -> Query {
+    Query::scan(bronze)
+        .filter(
             Expr::col("quality")
                 .eq_(Expr::LitI(0))
                 .and(Expr::col("value").is_nan().not()),
-        ))
-        .then(Stage::Window {
-            ts_col: "ts_ms".into(),
-            width_ms: window_ms,
-        })
-        .then(Stage::GroupBy {
-            keys: vec!["window".into(), "node".into(), "sensor".into()],
-            aggs: vec![AggSpec::new("value", Agg::Mean, "value")],
-        })
-        .then(Stage::Pivot {
-            index: vec!["window".into(), "node".into()],
-            pivot_col: "sensor".into(),
-            value_col: "value".into(),
-            agg: Agg::Mean,
-        })
-        .then(Stage::Join {
-            right: job_ctx,
-            on: vec!["node".into()],
-        })
-        .then(Stage::Where(
+        )
+        .window("ts_ms", window_ms)
+        .group_by(
+            &["window", "node", "sensor"],
+            &[AggSpec::new("value", Agg::Mean, "value")],
+        )
+        .pivot(&["window", "node"], "sensor", "value", Agg::Mean)
+        .join(job_ctx, &["node"])
+        .filter(
             Expr::col("window")
                 .ge(Expr::col("job_start_ms"))
                 .and(Expr::col("window").lt(Expr::col("job_end_ms"))),
-        ))
+        )
 }
 
 /// One Silver output row: a closed cell, or (`None`) the gap marker
@@ -356,7 +347,7 @@ impl SilverKeys {
             if quality[i] != 0 || value[i].is_nan() {
                 continue;
             }
-            let window = ts[i].div_euclid(window_ms) * window_ms;
+            let window = window_start(ts[i], window_ms);
             first_window = first_window.min(window);
             let row = match current {
                 Some((n, row)) if n == node[i] => row,
@@ -502,7 +493,7 @@ pub fn streaming_silver_transform_gap_marked(window_ms: i64, lateness_ms: i64) -
             .map(|(window, key, cell)| ((window, key), cell))
             .collect();
         let last_closed = if horizon > 0 {
-            (horizon - 1).div_euclid(window_ms) * window_ms
+            window_start(horizon - 1, window_ms)
         } else {
             i64::MIN
         };
@@ -629,8 +620,9 @@ mod tests {
             end_ms: 60_000,
             phase: 0.0,
         }];
-        let plan = bronze_to_silver_plan(SILVER_WINDOW_MS, job_context_frame(&jobs));
-        let silver = plan.execute(bronze).unwrap();
+        let silver = bronze_to_silver(bronze, SILVER_WINDOW_MS, job_context_frame(&jobs))
+            .execute()
+            .unwrap();
         // 2 windows x 2 nodes.
         assert_eq!(silver.rows(), 4);
         assert!(silver.index_of("node_power_w").is_ok());
@@ -667,8 +659,13 @@ mod tests {
             phase: 0.0,
         };
         let jobs = vec![mk_job(1, 0, 15_000), mk_job(2, 15_000, 30_000)];
-        let plan = bronze_to_silver_plan(SILVER_WINDOW_MS, job_context_frame(&jobs));
-        let silver = plan.execute(bronze_frame(&rows, &cat)).unwrap();
+        let silver = bronze_to_silver(
+            bronze_frame(&rows, &cat),
+            SILVER_WINDOW_MS,
+            job_context_frame(&jobs),
+        )
+        .execute()
+        .unwrap();
         // 2 windows x 1 node, one job each — NOT 4 rows.
         assert_eq!(silver.rows(), 2, "node reuse must not duplicate rows");
         let windows = silver.i64s("window").unwrap();
@@ -714,6 +711,23 @@ mod tests {
         let out2 = transform(bronze_frame(&batch2, &cat), &mut state).unwrap();
         assert_eq!(out2.i64s("window").unwrap(), &[0]);
         assert_eq!(out2.i64s("count").unwrap(), &[15]);
+    }
+
+    #[test]
+    fn window_closes_exactly_when_the_watermark_reaches_its_end() {
+        // Window [0, 15 s) with 5 s lateness closes once an event at
+        // 20 s lifts the watermark to 15 s, and not one millisecond
+        // earlier.
+        let mut transform = streaming_silver_transform(15_000, 5_000);
+        let cat = tiny_catalog();
+        let mut state = StateStore::new();
+        let mut batch: Vec<Observation> = (0..15).map(|t| obs(t * 1_000, 0, 0, 1.0)).collect();
+        batch.push(obs(19_999, 0, 0, 1.0));
+        let out = transform(bronze_frame(&batch, &cat), &mut state).unwrap();
+        assert_eq!(out.rows(), 0, "watermark 14 999 ms must hold window 0 open");
+        let out = transform(bronze_frame(&[obs(20_000, 0, 0, 1.0)], &cat), &mut state).unwrap();
+        assert_eq!(out.i64s("window").unwrap(), &[0]);
+        assert_eq!(out.i64s("count").unwrap(), &[15]);
     }
 
     #[test]

@@ -409,110 +409,6 @@ pub fn join_inner<S: AsRef<str>>(
     Frame::new(columns)
 }
 
-/// Left hash join: every left row survives; unmatched right numeric
-/// columns fill with NaN, integers with 0 and a `_matched` flag column
-/// (I64 0/1) is appended so consumers can tell absence from zero.
-pub fn join_left<S: AsRef<str>>(
-    left: &Frame,
-    right: &Frame,
-    on: &[S],
-) -> Result<Frame, PipelineError> {
-    let l_idx: Vec<usize> = on
-        .iter()
-        .map(|k| left.index_of(k.as_ref()))
-        .collect::<Result<_, _>>()?;
-    let r_idx: Vec<usize> = on
-        .iter()
-        .map(|k| right.index_of(k.as_ref()))
-        .collect::<Result<_, _>>()?;
-    let (l_keys, r_keys) = join_keys(left, &l_idx, right, &r_idx);
-    let mut right_rows: HashMap<RowKey, Vec<usize>> = HashMap::new();
-    for row in 0..right.rows() {
-        right_rows.entry(r_keys.key(row)).or_default().push(row);
-    }
-    let mut l_take = Vec::new();
-    let mut r_take: Vec<Option<usize>> = Vec::new();
-    for row in 0..left.rows() {
-        match right_rows.get(&l_keys.key(row)) {
-            Some(matches) => {
-                for &m in matches {
-                    l_take.push(row);
-                    r_take.push(Some(m));
-                }
-            }
-            None => {
-                l_take.push(row);
-                r_take.push(None);
-            }
-        }
-    }
-    let l_out = left.take(&l_take);
-    let mut columns: Vec<(String, ColumnData)> = l_out
-        .names()
-        .iter()
-        .zip(l_out.columns())
-        .map(|(n, c)| (n.clone(), c.clone()))
-        .collect();
-    for (ci, name) in right.names().iter().enumerate() {
-        if on.iter().any(|k| k.as_ref() == name) {
-            continue;
-        }
-        let out_name = if left.index_of(name).is_ok() {
-            format!("{name}_r")
-        } else {
-            name.clone()
-        };
-        let col = match right.column_at(ci) {
-            ColumnData::I64(v) => ColumnData::I64(
-                r_take
-                    .iter()
-                    .map(|m| m.map(|i| v[i]).unwrap_or(0))
-                    .collect(),
-            ),
-            ColumnData::F64(v) => ColumnData::F64(
-                r_take
-                    .iter()
-                    .map(|m| m.map(|i| v[i]).unwrap_or(f64::NAN))
-                    .collect(),
-            ),
-            ColumnData::Str(v) => ColumnData::Str(
-                r_take
-                    .iter()
-                    .map(|m| m.map(|i| v[i].clone()).unwrap_or_default())
-                    .collect(),
-            ),
-            ColumnData::Dict { dict, codes } => {
-                // Unmatched rows fill with "": reuse its code if the
-                // dictionary already has one, else append it.
-                let mut dict = Arc::clone(dict);
-                let fill = match r_take.iter().any(|m| m.is_none()) {
-                    true => match dict.iter().position(|e| e.is_empty()) {
-                        Some(i) => i as u32,
-                        None => {
-                            Arc::make_mut(&mut dict).push(String::new());
-                            (dict.len() - 1) as u32
-                        }
-                    },
-                    false => 0,
-                };
-                ColumnData::Dict {
-                    codes: r_take
-                        .iter()
-                        .map(|m| m.map_or(fill, |i| codes[i]))
-                        .collect(),
-                    dict,
-                }
-            }
-        };
-        columns.push((out_name, col));
-    }
-    columns.push((
-        "_matched".to_string(),
-        ColumnData::I64(r_take.iter().map(|m| i64::from(m.is_some())).collect()),
-    ));
-    Frame::new(columns)
-}
-
 /// Sort rows ascending by an i64 column (stable).
 pub fn sort_by_i64(frame: &Frame, col: &str) -> Result<Frame, PipelineError> {
     let keys = frame.i64s(col)?;
@@ -715,41 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn left_join_keeps_unmatched_rows() {
-        let left =
-            Frame::new(vec![("node".into(), ColumnData::I64(vec![1, 2, 3].into()))]).unwrap();
-        let right = Frame::new(vec![
-            ("node".into(), ColumnData::I64(vec![2].into())),
-            ("job".into(), ColumnData::I64(vec![20].into())),
-            ("w".into(), ColumnData::F64(vec![9.5].into())),
-            ("tag".into(), ColumnData::Str(vec!["x".into()].into())),
-        ])
-        .unwrap();
-        let j = join_left(&left, &right, &["node"]).unwrap();
-        assert_eq!(j.rows(), 3);
-        assert_eq!(j.i64s("_matched").unwrap(), &[0, 1, 0]);
-        assert_eq!(j.i64s("job").unwrap()[1], 20);
-        assert!(j.f64s("w").unwrap()[0].is_nan());
-        assert_eq!(j.f64s("w").unwrap()[1], 9.5);
-        assert_eq!(j.strs("tag").unwrap()[2], "");
-    }
-
-    #[test]
-    fn left_join_matches_inner_when_all_match() {
-        let left = Frame::new(vec![("k".into(), ColumnData::I64(vec![1, 2].into()))]).unwrap();
-        let right = Frame::new(vec![
-            ("k".into(), ColumnData::I64(vec![1, 2].into())),
-            ("v".into(), ColumnData::F64(vec![0.1, 0.2].into())),
-        ])
-        .unwrap();
-        let lj = join_left(&left, &right, &["k"]).unwrap();
-        let ij = join_inner(&left, &right, &["k"]).unwrap();
-        assert_eq!(lj.rows(), ij.rows());
-        assert_eq!(lj.f64s("v").unwrap(), ij.f64s("v").unwrap());
-        assert!(lj.i64s("_matched").unwrap().iter().all(|&m| m == 1));
-    }
-
-    #[test]
     fn join_one_to_many_expands() {
         let left = Frame::new(vec![("k".into(), ColumnData::I64(vec![1].into()))]).unwrap();
         let right = Frame::new(vec![
@@ -834,20 +695,6 @@ mod tests {
         assert!(g.dict("first").is_ok(), "output stays dictionary-encoded");
         // Numeric aggregates over dict strings are rejected, like Str.
         assert!(group_by(&f, &["k"], &[AggSpec::new("s", Agg::Sum, "x")]).is_err());
-    }
-
-    #[test]
-    fn left_join_fills_dict_columns_with_empty() {
-        let left =
-            Frame::new(vec![("node".into(), ColumnData::I64(vec![1, 2, 3].into()))]).unwrap();
-        let right = Frame::new(vec![
-            ("node".into(), ColumnData::I64(vec![2].into())),
-            ("tag".into(), ColumnData::dict(vec!["x".into()], vec![0])),
-        ])
-        .unwrap();
-        let j = join_left(&left, &right, &["node"]).unwrap();
-        let tag = j.cat("tag").unwrap();
-        assert_eq!(tag.iter().collect::<Vec<_>>(), vec!["", "x", ""]);
     }
 
     #[test]

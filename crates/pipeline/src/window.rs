@@ -1,10 +1,11 @@
-//! Tumbling time windows and watermarks.
+//! Tumbling time windows.
 //!
 //! The paper's Silver stage aggregates long-format data "over designated
 //! time intervals (e.g., every 15 seconds) to reconcile differences in
 //! sample rates" (§V-A). [`assign_window`] adds a window-start column;
-//! [`Watermark`] tracks event-time progress so streaming aggregations
-//! know when a window can be finalized despite out-of-order arrivals.
+//! the streaming Silver transform floors event times with the same
+//! [`window_start`] and keeps its event-time watermark in checkpointed
+//! state ([`crate::medallion::streaming_silver_transform`]).
 
 use crate::error::PipelineError;
 use crate::frame::Frame;
@@ -28,57 +29,16 @@ pub fn assign_window_as(
     width_ms: i64,
     out_col: &str,
 ) -> Result<Frame, PipelineError> {
-    assert!(width_ms > 0, "window width must be positive");
+    if width_ms <= 0 {
+        return Err(PipelineError::InvalidQuery(format!(
+            "window width must be positive, got {width_ms} ms"
+        )));
+    }
     let ts = frame.i64s(ts_col)?;
     let windows: Vec<i64> = ts.iter().map(|&t| window_start(t, width_ms)).collect();
     let mut out = frame.clone();
     out.push_column(out_col, ColumnData::I64(windows.into()))?;
     Ok(out)
-}
-
-/// Event-time watermark with bounded lateness.
-#[derive(Debug, Clone, Copy)]
-pub struct Watermark {
-    max_event_ms: i64,
-    allowed_lateness_ms: i64,
-}
-
-impl Watermark {
-    /// A watermark tolerating `allowed_lateness_ms` of disorder.
-    pub fn new(allowed_lateness_ms: i64) -> Watermark {
-        Watermark {
-            max_event_ms: i64::MIN,
-            allowed_lateness_ms,
-        }
-    }
-
-    /// Observe a batch's max event time.
-    pub fn observe(&mut self, ts_ms: i64) {
-        self.max_event_ms = self.max_event_ms.max(ts_ms);
-    }
-
-    /// Observe every timestamp of a frame column.
-    pub fn observe_frame(&mut self, frame: &Frame, ts_col: &str) -> Result<(), PipelineError> {
-        if let Some(&max) = frame.i64s(ts_col)?.iter().max() {
-            self.observe(max);
-        }
-        Ok(())
-    }
-
-    /// Current watermark: events at or before this time are complete.
-    pub fn current(&self) -> i64 {
-        if self.max_event_ms == i64::MIN {
-            i64::MIN
-        } else {
-            self.max_event_ms - self.allowed_lateness_ms
-        }
-    }
-
-    /// True when the tumbling window starting at `window_start` (width
-    /// `width_ms`) is closed: no in-order event can still land in it.
-    pub fn window_closed(&self, window_start: i64, width_ms: i64) -> bool {
-        self.current() >= window_start + width_ms
-    }
 }
 
 #[cfg(test)]
@@ -102,36 +62,5 @@ mod tests {
         .unwrap();
         let w = assign_window(&f, "ts", 15_000).unwrap();
         assert_eq!(w.i64s("window").unwrap(), &[0, 0, 15_000, 30_000]);
-    }
-
-    #[test]
-    fn watermark_tracks_max_minus_lateness() {
-        let mut wm = Watermark::new(5_000);
-        assert_eq!(wm.current(), i64::MIN);
-        wm.observe(20_000);
-        wm.observe(10_000); // regression ignored
-        assert_eq!(wm.current(), 15_000);
-    }
-
-    #[test]
-    fn window_closes_only_after_watermark_passes() {
-        let mut wm = Watermark::new(5_000);
-        wm.observe(19_999);
-        assert!(!wm.window_closed(0, 15_000), "watermark 14_999 < 15_000");
-        wm.observe(20_000);
-        assert!(wm.window_closed(0, 15_000));
-        assert!(!wm.window_closed(15_000, 15_000));
-    }
-
-    #[test]
-    fn observe_frame_uses_max() {
-        let f = Frame::new(vec![(
-            "ts".into(),
-            ColumnData::I64(vec![5, 100, 50].into()),
-        )])
-        .unwrap();
-        let mut wm = Watermark::new(0);
-        wm.observe_frame(&f, "ts").unwrap();
-        assert_eq!(wm.current(), 100);
     }
 }

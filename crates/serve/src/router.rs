@@ -2,18 +2,19 @@
 //! exposes, and how a parsed request maps onto them.
 //!
 //! [`Endpoints`] is a grab-bag of optional attachments — registry,
-//! health engine, tracer, lineage, alert/bench providers — so a caller
-//! wires up exactly the surfaces its process owns and everything else
-//! 404s. Every handler is a *read-only* view over an existing API:
-//! routing never writes to the registry, never advances health-engine
-//! ticks, and never mutates the journal, which is what keeps N
-//! concurrent scrapers incapable of perturbing chaos byte-identity.
+//! health engine, tracer (and its lineage), alert/bench providers — so
+//! a caller wires up exactly the surfaces its process owns and
+//! everything else 404s. Every handler is a *read-only* view over an
+//! existing API: routing never writes to the registry, never advances
+//! health-engine ticks, and never mutates the journal, which is what
+//! keeps N concurrent scrapers incapable of perturbing chaos
+//! byte-identity.
 
 use std::sync::{Arc, Mutex};
 
 use oda_obs::{
-    critical_path, export_jsonl, render_health_json, HealthEngine, Lineage, LineageNode, Registry,
-    Tracer, Verdict,
+    critical_path, export_jsonl, render_health_json, HealthEngine, LineageNode, Registry, Tracer,
+    Verdict,
 };
 
 use crate::http::{
@@ -31,7 +32,6 @@ pub struct Endpoints {
     registry: Option<Registry>,
     health: Option<Arc<Mutex<HealthEngine>>>,
     tracer: Option<Tracer>,
-    lineage: Option<Lineage>,
     alerts: Option<Provider>,
     bench: Option<Provider>,
 }
@@ -42,7 +42,6 @@ impl std::fmt::Debug for Endpoints {
             .field("metrics", &self.registry.is_some())
             .field("healthz", &self.health.is_some())
             .field("trace", &self.tracer.is_some())
-            .field("lineage", &self.lineage.is_some())
             .field("alerts", &self.alerts.is_some())
             .field("bench", &self.bench.is_some())
             .finish()
@@ -71,19 +70,10 @@ impl Endpoints {
         self
     }
 
-    /// Serve `GET /trace/*` from `tracer`'s journal; also attaches the
-    /// tracer's lineage graph unless one was set explicitly.
+    /// Serve `GET /trace/*` from `tracer`'s journal and
+    /// `GET /lineage/digest/<d>` from its lineage graph.
     pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        if self.lineage.is_none() {
-            self.lineage = Some(tracer.lineage().clone());
-        }
         self.tracer = Some(tracer.clone());
-        self
-    }
-
-    /// Serve `GET /lineage/digest/<d>` from `lineage`.
-    pub fn with_lineage(mut self, lineage: &Lineage) -> Self {
-        self.lineage = Some(lineage.clone());
         self
     }
 
@@ -175,8 +165,8 @@ impl Endpoints {
     /// or without `0x`, or decimal) plus its ancestor and descendant
     /// closures.
     fn lineage_digest(&self, raw: &str) -> Response {
-        let Some(lineage) = &self.lineage else {
-            return Response::not_found("no lineage attached");
+        let Some(tracer) = &self.tracer else {
+            return Response::not_found("no tracer attached");
         };
         let stripped = raw.strip_prefix("0x").unwrap_or(raw);
         let Some(digest) = u64::from_str_radix(stripped, 16)
@@ -185,7 +175,7 @@ impl Endpoints {
         else {
             return Response::error(400, "digest must be hex or decimal u64");
         };
-        let query = lineage.query();
+        let query = tracer.lineage().query();
         let Some(id) = query.find_digest(digest) else {
             return Response::not_found("no lineage node with that digest");
         };
@@ -224,7 +214,7 @@ impl Endpoints {
             ),
             (
                 "/lineage/digest/<d>   ancestors/descendants of a digest",
-                self.lineage.is_some(),
+                self.tracer.is_some(),
             ),
             (
                 "/alerts               online-detector alerts (JSONL)",
@@ -368,7 +358,7 @@ mod tests {
 
     #[test]
     fn lineage_digest_walks_and_404s() {
-        let lineage = Lineage::new();
+        let tracer = Tracer::new();
         let frame = LineageNode::Frame {
             stage: "silver".into(),
             epoch: 1,
@@ -381,8 +371,8 @@ mod tests {
             digest: 0x1234,
             rows: 4,
         };
-        lineage.link(bronze, frame, "refine");
-        let e = Endpoints::new().with_lineage(&lineage);
+        tracer.link(bronze, frame, "refine");
+        let e = Endpoints::new().with_tracer(&tracer);
         if oda_obs::enabled() {
             let resp = e.route(&get("/lineage/digest/abcd"));
             assert_eq!(resp.status, 200, "{}", resp.body);

@@ -59,11 +59,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
     /// Stop accepting, wait (bounded) for in-flight connections to
     /// drain, and join the accept thread.
     pub fn shutdown(mut self) {

@@ -103,12 +103,6 @@ impl<T> Buffer<T> {
     pub fn ptr_eq(&self, other: &Buffer<T>) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
     }
-
-    /// True when this handle is the unique owner of a full-range view,
-    /// i.e. `make_mut` would not copy.
-    pub fn is_unique_full(&self) -> bool {
-        self.offset == 0 && self.len == self.data.len() && Arc::strong_count(&self.data) == 1
-    }
 }
 
 impl<T: Clone> Buffer<T> {

@@ -522,19 +522,43 @@ impl TableFile {
     }
 
     /// Parse a file produced by [`TableWriter::finish`].
+    ///
+    /// The footer is validated here, once: every row group carries one
+    /// chunk per schema column and every chunk lies inside the data
+    /// region, so the readers can index it without further checks.
     pub fn open(bytes: Vec<u8>) -> Result<TableFile, StorageError> {
         let n = bytes.len();
         if n < MAGIC.len() * 2 + 8 || &bytes[..4] != MAGIC || &bytes[n - 4..] != MAGIC {
             return Err(StorageError::Corrupt("bad magic".into()));
         }
-        let footer_len =
-            u64::from_le_bytes(bytes[n - 12..n - 4].try_into().expect("8 bytes")) as usize;
-        if footer_len + 16 > n {
-            return Err(StorageError::Corrupt("footer length exceeds file".into()));
-        }
-        let footer_bytes = &bytes[n - 12 - footer_len..n - 12];
-        let footer: Footer = serde_json::from_slice(footer_bytes)
+        let footer_len = u64::from_le_bytes(bytes[n - 12..n - 4].try_into().expect("8 bytes"));
+        // The data region is everything between the leading magic and
+        // the footer.
+        let data_end = usize::try_from(footer_len)
+            .ok()
+            .and_then(|len| (n - 12).checked_sub(len))
+            .filter(|&end| end >= MAGIC.len())
+            .ok_or_else(|| StorageError::Corrupt("footer length exceeds file".into()))?;
+        let footer: Footer = serde_json::from_slice(&bytes[data_end..n - 12])
             .map_err(|e| StorageError::Corrupt(format!("footer parse: {e}")))?;
+        let columns = footer.schema.columns.len();
+        for (g, group) in footer.row_groups.iter().enumerate() {
+            if group.chunks.len() != columns {
+                return Err(StorageError::Corrupt(format!(
+                    "row group {g} has {} chunks for {columns} columns",
+                    group.chunks.len()
+                )));
+            }
+            let inside = |c: &ChunkMeta| {
+                c.offset >= MAGIC.len()
+                    && c.offset.checked_add(c.len).is_some_and(|e| e <= data_end)
+            };
+            if !group.chunks.iter().all(inside) {
+                return Err(StorageError::Corrupt(format!(
+                    "row group {g} has a chunk outside the data region"
+                )));
+            }
+        }
         let decoded_indexes = footer.indexes.iter().map(|_| OnceLock::new()).collect();
         Ok(TableFile {
             bytes,
@@ -579,6 +603,7 @@ impl TableFile {
             .chunks
             .get(column)
             .ok_or_else(|| StorageError::NotFound(format!("column {column}")))?;
+        // `open` checked one chunk per column, each inside the file.
         let (_, ty) = &self.footer.schema.columns[column];
         let raw = decompress(&self.bytes[meta.offset..meta.offset + meta.len])?;
         match ty {
@@ -610,15 +635,6 @@ impl TableFile {
             .chunks
             .get(column)
             .map(|c| &c.stats)
-    }
-
-    /// Columns carrying a secondary index, in write order.
-    pub fn indexed_columns(&self) -> Vec<&str> {
-        self.footer
-            .indexes
-            .iter()
-            .map(|m| m.column.as_str())
-            .collect()
     }
 
     /// True when `column` carries a secondary index.
@@ -951,6 +967,64 @@ mod tests {
         }
     }
 
+    /// `file` with its footer rewritten by `edit` and re-sealed — what a
+    /// buggy or hostile writer could hand `open`.
+    fn with_footer(file: &[u8], edit: impl FnOnce(&mut Footer)) -> Vec<u8> {
+        let n = file.len();
+        let len = u64::from_le_bytes(file[n - 12..n - 4].try_into().unwrap()) as usize;
+        let mut footer: Footer = serde_json::from_slice(&file[n - 12 - len..n - 12]).unwrap();
+        edit(&mut footer);
+        let json = serde_json::to_vec(&footer).unwrap();
+        let mut out = file[..n - 12 - len].to_vec();
+        out.extend_from_slice(&json);
+        out.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        out.extend_from_slice(MAGIC);
+        out
+    }
+
+    fn one_group_file() -> Vec<u8> {
+        let mut w = TableFile::writer(schema());
+        w.write_row_group(&group(0, 10)).unwrap();
+        w.finish()
+    }
+
+    #[test]
+    fn footer_length_past_the_file_is_corrupt() {
+        let mut bytes = one_group_file();
+        let n = bytes.len();
+        bytes[n - 12..n - 4].copy_from_slice(&u64::MAX.to_le_bytes());
+        let opened = TableFile::open(bytes).map(|f| f.num_rows());
+        assert!(
+            matches!(opened, Err(StorageError::Corrupt(_))),
+            "{opened:?}"
+        );
+    }
+
+    #[test]
+    fn chunk_outside_the_data_region_is_corrupt() {
+        let file = one_group_file();
+        let past_eof = with_footer(&file, |f| {
+            f.row_groups[0].chunks[1].offset = file.len() + 100
+        });
+        let overflowing = with_footer(&file, |f| f.row_groups[0].chunks[1].len = usize::MAX);
+        for bytes in [past_eof, overflowing] {
+            let read = TableFile::open(bytes).and_then(|f| f.read_row_group(0));
+            assert!(matches!(read, Err(StorageError::Corrupt(_))), "{read:?}");
+        }
+    }
+
+    #[test]
+    fn row_group_missing_a_chunk_is_corrupt() {
+        let bytes = with_footer(&one_group_file(), |f| {
+            f.row_groups[0].chunks.pop();
+        });
+        let pruned = TableFile::open(bytes).map(|f| f.row_groups_in_range("sensor", 0.0, 1.0));
+        assert!(
+            matches!(pruned, Err(StorageError::Corrupt(_))),
+            "{pruned:?}"
+        );
+    }
+
     #[test]
     fn secondary_index_roundtrips_and_prunes() {
         let mut w = TableFile::writer(schema());
@@ -970,7 +1044,6 @@ mod tests {
             .unwrap();
         }
         let file = TableFile::open(w.finish()).unwrap();
-        assert_eq!(file.indexed_columns(), vec!["sensor"]);
         assert!(file.has_index("sensor"));
         assert!(!file.has_index("value"));
         let ix = file.read_index("sensor").unwrap().unwrap();

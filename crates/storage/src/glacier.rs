@@ -34,7 +34,6 @@ impl Default for RecallModel {
 struct Archive {
     compressed: Vec<u8>,
     original_bytes: usize,
-    archived_at_ms: i64,
 }
 
 /// The archive tier.
@@ -59,7 +58,7 @@ impl Glacier {
 
     /// Seal `data` under `name`. Errors if the name is taken (archives
     /// are immutable).
-    pub fn archive(&self, name: &str, data: &[u8], now_ms: i64) -> Result<(), StorageError> {
+    pub fn archive(&self, name: &str, data: &[u8]) -> Result<(), StorageError> {
         let mut archives = self.archives.write();
         if archives.contains_key(name) {
             return Err(StorageError::InvalidState(format!(
@@ -71,7 +70,6 @@ impl Glacier {
             Archive {
                 compressed: compress(data),
                 original_bytes: data.len(),
-                archived_at_ms: now_ms,
             },
         );
         Ok(())
@@ -110,11 +108,6 @@ impl Glacier {
     pub fn names(&self) -> Vec<String> {
         self.archives.read().keys().cloned().collect()
     }
-
-    /// Archival timestamp of one archive.
-    pub fn archived_at(&self, name: &str) -> Option<i64> {
-        self.archives.read().get(name).map(|a| a.archived_at_ms)
-    }
 }
 
 impl Default for Glacier {
@@ -136,7 +129,7 @@ mod tests {
             .take(100_000)
             .copied()
             .collect();
-        g.archive("day-001", &data, 0).unwrap();
+        g.archive("day-001", &data).unwrap();
         let (back, latency) = g.recall("day-001").unwrap();
         assert_eq!(back, data);
         assert!(latency >= 90.0, "mount cost missing: {latency}");
@@ -145,9 +138,9 @@ mod tests {
     #[test]
     fn archives_are_immutable() {
         let g = Glacier::new();
-        g.archive("x", b"1", 0).unwrap();
+        g.archive("x", b"1").unwrap();
         assert!(matches!(
-            g.archive("x", b"2", 1),
+            g.archive("x", b"2"),
             Err(StorageError::InvalidState(_))
         ));
     }
@@ -156,7 +149,7 @@ mod tests {
     fn compression_accounted() {
         let g = Glacier::new();
         let data: Vec<u8> = vec![0u8; 1_000_000];
-        g.archive("zeros", &data, 0).unwrap();
+        g.archive("zeros", &data).unwrap();
         assert!(g.stored_bytes() < data.len() / 100);
         assert_eq!(g.original_bytes(), data.len());
     }
@@ -164,8 +157,8 @@ mod tests {
     #[test]
     fn recall_latency_scales_with_size() {
         let g = Glacier::new();
-        g.archive("small", &vec![1u8; 1_000], 0).unwrap();
-        g.archive("big", &vec![1u8; 30_000_000], 0).unwrap();
+        g.archive("small", &vec![1u8; 1_000]).unwrap();
+        g.archive("big", &vec![1u8; 30_000_000]).unwrap();
         let (_, small_lat) = g.recall("small").unwrap();
         let (_, big_lat) = g.recall("big").unwrap();
         assert!(big_lat > small_lat);
@@ -175,6 +168,5 @@ mod tests {
     fn missing_archive_errors() {
         let g = Glacier::new();
         assert!(g.recall("nope").is_err());
-        assert!(g.archived_at("nope").is_none());
     }
 }

@@ -152,11 +152,6 @@ impl ColumnIndex {
         ColumnIndex::default()
     }
 
-    /// Number of distinct values indexed.
-    pub fn distinct_values(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when no values are indexed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -421,7 +416,6 @@ mod tests {
         ix.add_group(2, 2, ["c", "a"]);
 
         let groups = |v| ix.groups_with(v).collect::<Vec<_>>();
-        assert_eq!(ix.distinct_values(), 3);
         assert_eq!(groups("a"), vec![0, 2]);
         assert_eq!(groups("b"), vec![0, 1]);
         assert_eq!(groups("c"), vec![0, 2]);

@@ -21,15 +21,6 @@ impl StringInterner {
         StringInterner::default()
     }
 
-    /// An interner pre-seeded with `entries` (codes follow slice order).
-    pub fn with_entries<S: AsRef<str>>(entries: &[S]) -> StringInterner {
-        let mut interner = StringInterner::new();
-        for e in entries {
-            interner.intern(e.as_ref());
-        }
-        interner
-    }
-
     /// Code for `s`, inserting it on first sight.
     pub fn intern(&mut self, s: &str) -> u32 {
         if let Some(&code) = self.index.get(s) {
@@ -88,12 +79,5 @@ mod tests {
         assert_eq!(i.lookup("a"), Some(1));
         assert_eq!(i.lookup("zzz"), None);
         assert_eq!(i.into_dict(), vec!["b".to_string(), "a".to_string()]);
-    }
-
-    #[test]
-    fn seeded_interner_preserves_order() {
-        let i = StringInterner::with_entries(&["x", "y", "x"]);
-        assert_eq!(i.entries(), &["x".to_string(), "y".to_string()]);
-        assert_eq!(i.lookup("y"), Some(1));
     }
 }

@@ -398,15 +398,6 @@ impl TierManager {
         }
         out
     }
-
-    /// Bytes held per (tier, class).
-    pub fn bytes_by_tier_class(&self) -> BTreeMap<(Tier, DataClass), u64> {
-        let mut out = BTreeMap::new();
-        for rec in self.artifacts.values() {
-            *out.entry((rec.tier, rec.class)).or_insert(0) += rec.bytes;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -466,9 +457,7 @@ mod tests {
         m.register("silver", DataClass::Silver, Tier::Lake, 100, 0);
         let actions = m.advance(5 * DAY);
         assert_eq!(actions.len(), 1, "only bronze should expire at day 5");
-        assert!(m
-            .bytes_by_tier_class()
-            .contains_key(&(Tier::Lake, DataClass::Silver)));
+        assert_eq!(m.bytes_by_tier()[&Tier::Lake], 100, "silver stays");
     }
 
     #[test]
@@ -609,7 +598,7 @@ mod tests {
         let by_tier = m.bytes_by_tier();
         assert_eq!(by_tier[&Tier::Ocean], 30);
         assert_eq!(by_tier[&Tier::Lake], 5);
-        let total: u64 = m.bytes_by_tier_class().values().sum();
+        let total: u64 = by_tier.values().sum();
         assert_eq!(total, 35);
     }
 }

@@ -207,11 +207,6 @@ impl TelemetryGenerator {
         Ok(())
     }
 
-    /// Remove all sensor calibration biases (firmware fixed).
-    pub fn clear_sensor_scales(&mut self) {
-        self.sensor_bias.clear();
-    }
-
     /// Queue a scripted job for the scheduler — deterministic, RNG-free
     /// (see [`Scheduler::submit`]); it starts on the next tick once
     /// nodes are free.

@@ -296,7 +296,6 @@ impl ScenarioPack {
             tick: 0,
             ticks: self.ticks,
             kind: self.kind,
-            disturbance: self.disturbance,
         })
     }
 }
@@ -318,7 +317,6 @@ pub struct ScenarioRun {
     tick: u32,
     ticks: u32,
     kind: ScenarioKind,
-    disturbance: (u32, u32),
 }
 
 impl ScenarioRun {
@@ -340,12 +338,6 @@ impl ScenarioRun {
     /// Total ticks the pack runs for.
     pub fn ticks(&self) -> u32 {
         self.ticks
-    }
-
-    /// The disturbance window in event-time milliseconds `[lo, hi)`.
-    pub fn disturbance_ms(&self) -> (i64, i64) {
-        let (lo, hi) = self.disturbance;
-        (i64::from(lo) * 1_000, i64::from(hi) * 1_000)
     }
 
     /// Apply any due scripted actions, then advance the generator one
@@ -406,6 +398,13 @@ impl ScenarioRun {
 mod tests {
     use super::*;
     use crate::record::Quality;
+
+    /// The pack's disturbance window in event-time ms `[lo, hi)` (one
+    /// tick is one second).
+    fn disturbance_ms(pack: &ScenarioPack) -> (i64, i64) {
+        let (lo, hi) = pack.disturbance_ticks();
+        (i64::from(lo) * 1_000, i64::from(hi) * 1_000)
+    }
 
     #[test]
     fn standard_packs_run_deterministically() -> Result<(), TelemetryError> {
@@ -488,11 +487,11 @@ mod tests {
     #[test]
     fn cooling_excursion_moves_thermal_telemetry() -> Result<(), TelemetryError> {
         let pack = ScenarioPack::standard(ScenarioKind::CoolingExcursion);
+        let (lo_ms, hi_ms) = disturbance_ms(&pack);
         let mut run = pack.start(7)?;
         let inlet = run.generator().catalog().sensor_id("node_inlet_temp_c")?;
         let mut before = Vec::new();
         let mut during = Vec::new();
-        let (lo_ms, hi_ms) = run.disturbance_ms();
         for batch in run.run_to_end()? {
             for o in batch.observations {
                 if o.sensor == inlet && o.quality == Quality::Good {
@@ -517,9 +516,9 @@ mod tests {
     #[test]
     fn power_cap_clamps_during_event_window() -> Result<(), TelemetryError> {
         let pack = ScenarioPack::standard(ScenarioKind::PowerCapEvent);
+        let (lo_ms, hi_ms) = disturbance_ms(&pack);
         let mut run = pack.start(7)?;
         let power = run.generator().catalog().sensor_id("node_power_w")?;
-        let (lo_ms, hi_ms) = run.disturbance_ms();
         let mut peak_before = 0.0f64;
         let mut peak_during = 0.0f64;
         for batch in run.run_to_end()? {
@@ -547,8 +546,8 @@ mod tests {
     #[test]
     fn job_storm_saturates_the_machine() -> Result<(), TelemetryError> {
         let pack = ScenarioPack::standard(ScenarioKind::JobStorm);
+        let (lo_ms, _) = disturbance_ms(&pack);
         let mut run = pack.start(7)?;
-        let (lo_ms, _) = run.disturbance_ms();
         let mut peak_util_during = 0.0f64;
         while run.tick() < run.ticks() {
             let batch = run.next_batch()?;

@@ -7,7 +7,6 @@
 //! the paper's taxonomy.
 
 use crate::error::TelemetryError;
-use crate::record::Device;
 use crate::system::SystemModel;
 use serde::{Deserialize, Serialize};
 
@@ -455,17 +454,6 @@ impl SensorCatalog {
     /// True when the catalog is empty (never, for built-in systems).
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
-    }
-
-    /// The device instances a spec materializes on, for a given system.
-    pub fn devices_for(&self, spec: &SensorSpec, system: &SystemModel) -> Vec<Device> {
-        match spec.attachment {
-            Attachment::PerNode => vec![Device::Node],
-            Attachment::PerCpu => (0..system.cpus_per_node).map(Device::Cpu).collect(),
-            Attachment::PerGpu => (0..system.gpus_per_node).map(Device::Gpu).collect(),
-            Attachment::PerCabinet => vec![Device::CoolingLoop(0)],
-            Attachment::FacilityWide => vec![Device::Facility],
-        }
     }
 }
 

@@ -89,12 +89,6 @@ impl PowerSim {
         }
     }
 
-    /// Override electrical parameters.
-    pub fn with_electrical(mut self, e: ElectricalParams) -> PowerSim {
-        self.electrical = e;
-        self
-    }
-
     /// The simulated system.
     pub fn system(&self) -> &SystemModel {
         &self.system

@@ -1,9 +1,9 @@
 //! The operator plane, live: `oda-serve` over a chaos-seeded pipeline.
 //!
 //! Boots the full observability stack — metrics registry, tracer +
-//! lineage, online-detector alerts, and the SLO health engine — wires
-//! it into an `oda-serve` HTTP server on an ephemeral port, then races
-//! two workloads against each other:
+//! lineage, online-detector alerts, frame-buffer copy accounting, and
+//! the SLO health engine — wires it into an `oda-serve` HTTP server on
+//! an ephemeral port, then races two workloads against each other:
 //!
 //! * an 8-worker chaos-seeded medallion pipeline (the data plane),
 //!   advancing the health engine one logical tick per committed epoch;
@@ -27,6 +27,7 @@ use oda::pipeline::medallion::{observation_decoder, streaming_silver_transform};
 use oda::pipeline::streaming::MemorySink;
 use oda::pipeline::StreamingQuery;
 use oda::serve::{serve, Endpoints, ServerConfig};
+use oda::storage::BufferMetrics;
 use oda::stream::{Broker, Consumer, Producer, RetentionPolicy};
 use oda::telemetry::record::Observation;
 use oda::telemetry::system::SystemModel;
@@ -153,6 +154,7 @@ fn main() {
     let mut online = OnlineAnalytics::new(detector_config);
     online.attach_metrics(&registry);
     let mut sink = AlertingSink::new(MemorySink::new(), online);
+    let buffers = BufferMetrics::new(&registry);
     let mut restarts = 0;
     'supervise: loop {
         let consumer = Consumer::subscribe(broker.clone(), "dash", TOPIC)
@@ -177,6 +179,7 @@ fn main() {
                 Ok(_) => {
                     // The data-plane loop owns logical time: one tick
                     // per committed epoch. Scrapers only ever read.
+                    buffers.publish();
                     let report = engine.lock().unwrap().observe(&registry);
                     *live_alerts.lock().unwrap() = sink.alerts().to_vec();
                     if report.tick.is_multiple_of(10) {
@@ -320,6 +323,11 @@ fn main() {
             println!("GET {path:<14} HTTP {status}  {} bytes", body.len());
         }
     }
+    let (_, metrics) = fetch_body(addr, "/metrics").expect("metrics answers");
+    assert!(
+        metrics.contains("frame_bytes_copied_total"),
+        "frame-buffer copy accounting must be scraped"
+    );
     server.shutdown();
     println!("server drained and shut down");
 }

@@ -75,7 +75,7 @@ fn main() {
     let glacier = Glacier::new();
     let raw_day = Observation::encode_batch(&all_obs);
     glacier
-        .archive("bronze-day-000", &raw_day, 0)
+        .archive("bronze-day-000", &raw_day)
         .expect("archive");
     let (_, recall_latency) = glacier.recall("bronze-day-000").expect("recall");
     println!(

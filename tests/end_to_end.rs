@@ -13,7 +13,7 @@ use oda::core::ingest::topics;
 use oda::faults::FaultPlan;
 use oda::pipeline::checkpoint::CheckpointStore;
 use oda::pipeline::medallion::{
-    bronze_frame, bronze_to_silver_plan, job_context_frame, observation_decoder,
+    bronze_frame, bronze_to_silver, job_context_frame, observation_decoder,
     streaming_silver_transform,
 };
 use oda::pipeline::ops::{group_by, Agg, AggSpec};
@@ -222,11 +222,12 @@ fn batch_plan_on_real_bronze_produces_wide_silver() {
     }
     let bronze = bronze_frame(&all, &catalog);
     let jobs = facility.jobs(0).to_vec();
-    let plan = bronze_to_silver_plan(15_000, job_context_frame(&jobs));
     if jobs.is_empty() {
         return; // nothing scheduled in 30 min — the join would be empty
     }
-    let silver = plan.execute(bronze).unwrap();
+    let silver = bronze_to_silver(bronze, 15_000, job_context_frame(&jobs))
+        .execute()
+        .unwrap();
     // Wide format: sensor names became columns; job context joined.
     assert!(silver.index_of("node_power_w").is_ok());
     assert!(silver.index_of("job").is_ok());

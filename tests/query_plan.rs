@@ -17,7 +17,7 @@ use oda::pipeline::frame_io::frame_to_colfile;
 use oda::pipeline::logical::{ExecContext, Query};
 use oda::pipeline::ops::{Agg, AggSpec};
 use oda::pipeline::PipelineError;
-use oda::pipeline::{Expr, Frame, PipelinePlan, Stage};
+use oda::pipeline::{Expr, Frame};
 use oda::storage::colfile::{ColumnData, ColumnType, TableFile, TableSchema, TableWriter};
 use oda::storage::compress::compress;
 use oda::storage::{ColumnIndex, StorageError};
@@ -130,8 +130,8 @@ proptest! {
         );
     }
 
-    /// A `PipelinePlan` clause list executes byte-identically through
-    /// the logical planner and through the stage-by-stage path.
+    /// A Fig. 4-b clause list executes byte-identically through the
+    /// optimiser and through the node-by-node timed path.
     #[test]
     fn lowering_preserves_bytes(
         seed in proptest::collection::vec((0u8..2, -50.0f64..50.0), 40..120),
@@ -152,27 +152,22 @@ proptest! {
             ("job".into(), ColumnData::I64(vec![100, 101, 102].into())),
         ])
         .unwrap();
-        let plan = PipelinePlan::new()
-            .then(Stage::Where(Expr::col("value").ge(Expr::LitF(-25.0))))
-            .then(Stage::Window { ts_col: "ts".into(), width_ms: 5_000 })
-            .then(Stage::GroupBy {
-                keys: vec!["window".into(), "node".into(), "sensor".into()],
-                aggs: vec![AggSpec::new("value", Agg::Mean, "value")],
-            })
-            .then(Stage::Pivot {
-                index: vec!["window".into(), "node".into()],
-                pivot_col: "sensor".into(),
-                value_col: "value".into(),
-                agg: Agg::Mean,
-            })
-            .then(Stage::Join { right: context, on: vec!["node".into()] });
+        let query = Query::scan(bronze)
+            .filter(Expr::col("value").ge(Expr::LitF(-25.0)))
+            .window("ts", 5_000)
+            .group_by(
+                &["window", "node", "sensor"],
+                &[AggSpec::new("value", Agg::Mean, "value")],
+            )
+            .pivot(&["window", "node"], "sensor", "value", Agg::Mean)
+            .join(context, &["node"]);
 
-        // Planner path (lower + optimize) vs stage-by-stage path. Pivot
-        // cells with no contributing rows hold NaN, so compare the
-        // serialized bytes (bit-exact) rather than `Frame` equality
-        // (where NaN != NaN).
-        let planned = plan.execute(bronze.clone()).unwrap();
-        let (staged, _) = plan.execute_timed(bronze).unwrap();
+        // Optimised path vs node-by-node path. Pivot cells with no
+        // contributing rows hold NaN, so compare the serialized bytes
+        // (bit-exact) rather than `Frame` equality (where NaN != NaN).
+        let planned = query.clone().execute().unwrap();
+        let (staged, timings) = query.execute_timed().unwrap();
+        prop_assert_eq!(timings.len(), 5);
         prop_assert_eq!(planned.names(), staged.names());
         prop_assert_eq!(
             frame_to_colfile(&planned).unwrap(),

@@ -74,10 +74,7 @@ fn bronze_to_ocean_to_glacier_roundtrip() {
     assert!(!hits.is_empty());
 
     // Freeze raw into GLACIER; recall restores exactly.
-    facility
-        .glacier()
-        .archive("bronze-day-0", &wire, 0)
-        .unwrap();
+    facility.glacier().archive("bronze-day-0", &wire).unwrap();
     let (restored, latency) = facility.glacier().recall("bronze-day-0").unwrap();
     assert_eq!(restored, wire);
     assert!(latency > 0.0);
