@@ -7,7 +7,7 @@
 use crate::error::PipelineError;
 use crate::frame::{Frame, StrColumn};
 use crate::kernels::{self, NumAcc};
-use crate::rowkey::{join_keys, KeyCols, RowKey};
+use crate::rowkey::{join_keys, GroupTable, KeyCols};
 use oda_storage::colfile::ColumnData;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -95,18 +95,8 @@ pub fn group_by<S: AsRef<str>>(
         }
     }
 
-    let key_cols = KeyCols::of(frame, &key_idx);
-    let mut group_of: HashMap<RowKey, usize> = HashMap::new();
-    let mut representative: Vec<usize> = Vec::new();
-    let mut row_group: Vec<usize> = Vec::with_capacity(frame.rows());
-    for row in 0..frame.rows() {
-        let next = representative.len();
-        let g = *group_of.entry(key_cols.key(row)).or_insert_with(|| {
-            representative.push(row);
-            next
-        });
-        row_group.push(g);
-    }
+    let (row_group, representative) =
+        GroupTable::new().assign(&KeyCols::of(frame, &key_idx), frame.rows());
     let n_groups = representative.len();
 
     // Key columns from representative rows.
@@ -126,24 +116,20 @@ pub fn group_by<S: AsRef<str>>(
         let col = frame.column(&spec.column)?;
         match col {
             ColumnData::Str(v) => {
-                let mut firsts: Vec<Option<String>> = vec![None; n_groups];
-                let mut lasts: Vec<Option<String>> = vec![None; n_groups];
-                for row in 0..frame.rows() {
-                    let g = row_group[row];
-                    if firsts[g].is_none() {
-                        firsts[g] = Some(v[row].clone());
+                // Pick a row per group, then clone each picked string
+                // once — the `Dict` arm's pattern, over row indexes.
+                let picked = match spec.agg {
+                    Agg::First => kernels::gather_clone(&v[..], &representative),
+                    Agg::Last => {
+                        let mut lasts = vec![0; n_groups];
+                        for (row, &g) in row_group.iter().enumerate() {
+                            lasts[g] = row;
+                        }
+                        kernels::gather_clone(&v[..], &lasts)
                     }
-                    lasts[g] = Some(v[row].clone());
-                }
-                let vals = match spec.agg {
-                    Agg::First => firsts,
-                    Agg::Last => lasts,
                     _ => unreachable!("validated above"),
                 };
-                out.push((
-                    spec.output.clone(),
-                    ColumnData::Str(vals.into_iter().map(|o| o.unwrap_or_default()).collect()),
-                ));
+                out.push((spec.output.clone(), ColumnData::Str(picked.into())));
             }
             ColumnData::Dict { dict, codes } => {
                 // Type-preserving First/Last over codes: the output shares
@@ -245,18 +231,8 @@ pub fn pivot<S: AsRef<str>>(
         }
     };
 
-    let key_cols = KeyCols::of(frame, &index_idx);
-    let mut group_of: HashMap<RowKey, usize> = HashMap::new();
-    let mut representative: Vec<usize> = Vec::new();
-    let mut row_group: Vec<usize> = Vec::with_capacity(frame.rows());
-    for row in 0..frame.rows() {
-        let next = representative.len();
-        let g = *group_of.entry(key_cols.key(row)).or_insert_with(|| {
-            representative.push(row);
-            next
-        });
-        row_group.push(g);
-    }
+    let (row_group, representative) =
+        GroupTable::new().assign(&KeyCols::of(frame, &index_idx), frame.rows());
     let mut cells: Vec<Vec<NumAcc>> = (0..representative.len())
         .map(|_| vec![NumAcc::new(); distinct.len()])
         .collect();
@@ -371,16 +347,18 @@ pub fn join_inner<S: AsRef<str>>(
         .collect::<Result<_, _>>()?;
 
     let (l_keys, r_keys) = join_keys(left, &l_idx, right, &r_idx);
-    let mut right_rows: HashMap<RowKey, Vec<usize>> = HashMap::new();
-    for row in 0..right.rows() {
-        right_rows.entry(r_keys.key(row)).or_default().push(row);
+    let mut right_groups = GroupTable::new();
+    let (row_group, firsts) = right_groups.assign(&r_keys, right.rows());
+    let mut right_rows: Vec<Vec<usize>> = vec![Vec::new(); firsts.len()];
+    for (row, &g) in row_group.iter().enumerate() {
+        right_rows[g].push(row);
     }
 
     let mut l_take = Vec::new();
     let mut r_take = Vec::new();
     for row in 0..left.rows() {
-        if let Some(matches) = right_rows.get(&l_keys.key(row)) {
-            for &m in matches {
+        if let Some(g) = right_groups.get(&l_keys.key(row)) {
+            for &m in &right_rows[g] {
                 l_take.push(row);
                 r_take.push(m);
             }

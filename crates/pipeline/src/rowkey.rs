@@ -1,4 +1,5 @@
-//! Typed fixed-width group/join keys.
+//! Typed fixed-width group/join keys and the one table that numbers
+//! them.
 //!
 //! Group-by, pivot, and the hash joins used to key rows by rendering
 //! every key column to text and concatenating the pieces — one `String`
@@ -7,14 +8,21 @@
 //! (`to_bits`, so NaN patterns group deterministically), and dictionary
 //! codes for categorical columns. Keys of up to three columns are
 //! stored inline; wider keys spill to one boxed slice.
+//!
+//! [`GroupTable`] maps keys to dense group ids in first-occurrence
+//! order. Every grouping operator (`ops::group_by`, `ops::pivot`,
+//! `ops::join_inner`) assigns ids through it.
 
 use crate::frame::Frame;
 use oda_storage::colfile::ColumnData;
 use oda_storage::intern::StringInterner;
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// One row's group/join identity: a fixed-width sequence of `u64`
 /// words, one per key column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum RowKey {
     /// Single-column key.
     One(u64),
@@ -24,6 +32,137 @@ pub(crate) enum RowKey {
     Three([u64; 3]),
     /// Wider keys.
     Many(Box<[u64]>),
+}
+
+impl RowKey {
+    /// The key's words, one per key column.
+    pub(crate) fn words(&self) -> &[u64] {
+        match self {
+            RowKey::One(w) => std::slice::from_ref(w),
+            RowKey::Two(ws) => ws,
+            RowKey::Three(ws) => ws,
+            RowKey::Many(ws) => ws,
+        }
+    }
+}
+
+impl Hash for RowKey {
+    /// One `write_u64` per word. Keys in one table all have the same
+    /// width, so neither the variant nor (inline) the length is hashed.
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        if let RowKey::Many(ws) = self {
+            state.write_usize(ws.len());
+        }
+        for &w in self.words() {
+            state.write_u64(w);
+        }
+    }
+}
+
+/// Odd 64-bit multiplier (2⁶⁴ / φ).
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Multiply-mix hasher: per word, one 64×64→128-bit multiply whose
+/// halves are folded together, so high input bits reach the low hash
+/// bits the table indexes by (a plain Fx multiply keeps keys that
+/// differ only in high bits in one bucket). About a third of SipHash's
+/// cost per key.
+#[derive(Clone, Copy)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    #[inline]
+    fn write_u64(&mut self, w: u64) {
+        let m = u128::from(self.0 ^ w) * u128::from(MIX);
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`MixHasher`] factory with a per-table random seed, so colliding
+/// keys cannot be precomputed offline.
+#[derive(Clone, Copy)]
+struct MixState(u64);
+
+impl BuildHasher for MixState {
+    type Hasher = MixHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
+}
+
+/// Dense group ids for [`RowKey`]s, assigned in first-occurrence order.
+///
+/// Ids depend only on the order keys arrive in, never on the hash, so
+/// every output built from them is independent of the hasher and its
+/// seed. The table is never iterated. Colliding keys — crafted ones
+/// included — share probe chains and cost time, but a lookup still
+/// compares whole keys, so they can slow a query down and never change
+/// its answer.
+pub(crate) struct GroupTable {
+    ids: HashMap<RowKey, usize, MixState>,
+}
+
+impl GroupTable {
+    /// An empty table.
+    pub(crate) fn new() -> GroupTable {
+        let seed = RandomState::new().hash_one(0u64);
+        GroupTable {
+            ids: HashMap::with_hasher(MixState(seed)),
+        }
+    }
+
+    /// The id of `key`, and whether this is its first occurrence (the
+    /// id is then the number of keys seen before it).
+    #[inline]
+    pub(crate) fn insert(&mut self, key: RowKey) -> (usize, bool) {
+        let next = self.ids.len();
+        match self.ids.entry(key) {
+            Entry::Occupied(e) => (*e.get(), false),
+            Entry::Vacant(e) => (*e.insert(next), true),
+        }
+    }
+
+    /// The id of `key`, if it has occurred.
+    #[inline]
+    pub(crate) fn get(&self, key: &RowKey) -> Option<usize> {
+        self.ids.get(key).copied()
+    }
+
+    /// Number rows `0..rows` of `keys` in row order: each row's group id
+    /// and each group's first row.
+    pub(crate) fn assign(&mut self, keys: &KeyCols, rows: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut row_group = Vec::with_capacity(rows);
+        let mut first_rows = Vec::new();
+        for row in 0..rows {
+            let (g, new) = self.insert(keys.key(row));
+            if new {
+                first_rows.push(row);
+            }
+            row_group.push(g);
+        }
+        (row_group, first_rows)
+    }
 }
 
 /// Per-column key material. Numeric columns are borrowed directly;
@@ -247,6 +386,83 @@ mod tests {
         assert_eq!(lk.key(1), rk.key(0), "a == a");
         assert_ne!(lk.key(2), rk.key(0));
         assert_ne!(lk.key(2), rk.key(1));
+    }
+
+    #[test]
+    fn group_ids_follow_first_occurrence() {
+        let mut table = GroupTable::new();
+        let ids: Vec<(usize, bool)> = [7u64, 3, 7, 9, 3, 0]
+            .iter()
+            .map(|&w| table.insert(RowKey::One(w)))
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                (0, true),
+                (1, true),
+                (0, false),
+                (2, true),
+                (1, false),
+                (3, true)
+            ]
+        );
+        assert_eq!(table.get(&RowKey::One(9)), Some(2));
+        assert_eq!(table.get(&RowKey::One(8)), None);
+
+        let f = frame();
+        let (row_group, first_rows) = GroupTable::new().assign(&KeyCols::of(&f, &[2]), f.rows());
+        assert_eq!(row_group, [0, 0, 1, 0]);
+        assert_eq!(first_rows, [0, 2]);
+    }
+
+    /// Distinct bit patterns are distinct groups, exactly as `RowKey`
+    /// compares them: high-bit-only differences (which a bare multiply
+    /// hash keeps in one bucket), signed zeros, and NaN payloads.
+    #[test]
+    fn group_ids_separate_every_bit_pattern() {
+        let quiet = f64::NAN.to_bits();
+        let words = [
+            0,
+            1 << 62,
+            1 << 61,
+            (1 << 62) | (1 << 61),
+            0.0f64.to_bits(),
+            (-0.0f64).to_bits(),
+            quiet,
+            quiet | 1,
+            quiet | (1 << 63),
+        ];
+        let mut table = GroupTable::new();
+        let ids: Vec<usize> = words
+            .iter()
+            .map(|&w| table.insert(RowKey::One(w)).0)
+            .collect();
+        // `0` and `0.0.to_bits()` are the same word; every other differs.
+        assert_eq!(ids, [0, 1, 2, 3, 0, 4, 5, 6, 7]);
+
+        let mut highs = GroupTable::new();
+        for i in 0..1_000u64 {
+            assert_eq!(highs.insert(RowKey::One(i << 40)), (i as usize, true));
+        }
+        for i in 0..1_000u64 {
+            assert_eq!(highs.get(&RowKey::One(i << 40)), Some(i as usize));
+        }
+    }
+
+    #[test]
+    fn wide_keys_round_trip_through_the_group_table() {
+        let f = frame();
+        let kc = KeyCols::of(&f, &[0, 1, 2, 3]);
+        let mut table = GroupTable::new();
+        let ids: Vec<usize> = (0..f.rows()).map(|r| table.insert(kc.key(r)).0).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        for r in 0..f.rows() {
+            let key = kc.key(r);
+            assert!(matches!(key, RowKey::Many(_)));
+            assert_eq!(table.get(&key), Some(r));
+        }
+        // A prefix of a wide key is a different key.
+        assert_eq!(table.get(&RowKey::Three([1, 0.5f64.to_bits(), 0])), None);
     }
 
     #[test]

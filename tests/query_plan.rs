@@ -174,6 +174,132 @@ proptest! {
             frame_to_colfile(&staged).unwrap()
         );
     }
+
+    /// An optimised `filter → window → GROUP BY` plan and the clause-by-
+    /// clause path serialize byte-identically: frame and table scans,
+    /// `Str` and `Dict` sensors (per-row-group dictionaries differ),
+    /// NaN values, quality filters that empty a row group or the whole
+    /// result, `I64` and `F64` inputs, and every `Agg`.
+    #[test]
+    fn optimized_aggregate_matches_staged(
+        seed in proptest::collection::vec((0u8..4, 0i64..3, -50.0f64..50.0, 0u8..8), 1..6 * GROUP_ROWS),
+        bad_group in 0usize..6,
+        min_quality in 0i64..4,
+        keys in 0usize..AGG_KEYS.len(),
+        str_sensor in any::<bool>(),
+        from_table in any::<bool>(),
+        residual in any::<bool>(),
+    ) {
+        let rows = seed.len();
+        // Quality 0 everywhere in `bad_group`; `min_quality` 3 keeps nothing.
+        let quality: Vec<i64> = seed
+            .iter()
+            .enumerate()
+            .map(|(r, s)| if r / GROUP_ROWS == bad_group { 0 } else { s.1 })
+            .collect();
+        let columns = vec![
+            ("ts".to_string(), ColumnData::I64((0..rows as i64).map(|r| r * 700).collect())),
+            ("sensor".to_string(), sensor_column(seed.iter().map(|s| TAGS[usize::from(s.0)]), str_sensor)),
+            ("n".to_string(), ColumnData::I64(seed.iter().map(|s| i64::from(s.3)).collect())),
+            ("q".to_string(), ColumnData::I64(quality.into())),
+            (
+                "v".to_string(),
+                ColumnData::F64(seed.iter().map(|s| if s.3 == 0 { f64::NAN } else { s.2 }).collect()),
+            ),
+        ];
+        let frame = Frame::new(columns.clone()).unwrap();
+        let mut q = if from_table {
+            Query::scan_table(grouped_table(&columns, str_sensor))
+        } else {
+            Query::scan(frame)
+        }
+        .filter(Expr::col("q").ge(Expr::LitI(min_quality)));
+        if residual {
+            q = q.filter(Expr::col("v").is_nan().not().or(Expr::col("n").ge(Expr::LitI(6))));
+        }
+        let (keys, windowed) = AGG_KEYS[keys];
+        if windowed {
+            q = q.window("ts", 2_500);
+        }
+        let mut aggs = Vec::new();
+        for agg in [Agg::Sum, Agg::Mean, Agg::Min, Agg::Max, Agg::Count, Agg::First, Agg::Last] {
+            aggs.push(AggSpec::new("v", agg, &format!("v_{agg:?}")));
+            aggs.push(AggSpec::new("n", agg, &format!("n_{agg:?}")));
+        }
+        aggs.push(AggSpec::new("sensor", Agg::First, "sensor_first"));
+        aggs.push(AggSpec::new("sensor", Agg::Last, "sensor_last"));
+        let q = q.group_by(keys, &aggs);
+
+        let planned = q.clone().execute().unwrap();
+        let (staged, _) = q.execute_timed().unwrap();
+        prop_assert_eq!(planned.names(), staged.names());
+        prop_assert_eq!(
+            frame_to_colfile(&planned).unwrap(),
+            frame_to_colfile(&staged).unwrap()
+        );
+    }
+}
+
+/// Key sets for the aggregate property, each with whether it
+/// needs a window: one to four key columns (`RowKey::Many`), NaN-valued
+/// `F64` keys, and no keys at all.
+const AGG_KEYS: [(&[&str], bool); 7] = [
+    (&["window", "sensor"], true),
+    (&["sensor"], false),
+    (&["sensor"], true),
+    (&["window"], true),
+    (&["v"], false),
+    (&["window", "sensor", "n", "q"], true),
+    (&[], false),
+];
+
+fn sensor_column<'a>(tags: impl Iterator<Item = &'a str>, str_sensor: bool) -> ColumnData {
+    let tags: Vec<String> = tags.map(str::to_string).collect();
+    if str_sensor {
+        return ColumnData::Str(tags.into());
+    }
+    let mut dict: Vec<String> = Vec::new();
+    let codes = tags
+        .iter()
+        .map(|t| match dict.iter().position(|d| d == t) {
+            Some(c) => c as u32,
+            None => {
+                dict.push(t.clone());
+                (dict.len() - 1) as u32
+            }
+        })
+        .collect();
+    ColumnData::dict(dict, codes)
+}
+
+/// `columns` written `GROUP_ROWS` rows per row group. A `Dict` sensor
+/// gets one dictionary per row group, in that group's first-occurrence
+/// order, so chunk dictionaries differ.
+fn grouped_table(columns: &[(String, ColumnData)], str_sensor: bool) -> Arc<TableFile> {
+    let types: Vec<(&str, ColumnType)> = columns
+        .iter()
+        .map(|(n, c)| match c.column_type() {
+            ColumnType::Str if !str_sensor => (n.as_str(), ColumnType::Dict),
+            ty => (n.as_str(), ty),
+        })
+        .collect();
+    let mut w = TableWriter::new(TableSchema::new(&types));
+    w.index_column("sensor").unwrap();
+    let rows = columns[0].1.len();
+    for start in (0..rows).step_by(GROUP_ROWS) {
+        let len = GROUP_ROWS.min(rows - start);
+        let group: Vec<ColumnData> = columns
+            .iter()
+            .map(|(name, c)| match c.slice(start, len) {
+                ColumnData::Dict { dict, codes } if name == "sensor" => {
+                    sensor_column(codes.iter().map(|&c| dict[c as usize].as_str()), false)
+                }
+                sliced => sliced,
+            })
+            .collect();
+        w.write_row_group(&group).unwrap();
+    }
+    Arc::new(TableFile::open(w.finish()).unwrap())
 }
 
 /// Deterministic fixture for the explain golden: 3 groups x 4 rows.
