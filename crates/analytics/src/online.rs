@@ -38,7 +38,7 @@
 //! produce byte-identical [`alerts_jsonl`] encodings.
 
 use oda_ml::classifier::{ProfileClassifier, TrainConfig};
-use oda_obs::{trace_id, trace_span, Registry, TraceEventKind, Tracer};
+use oda_obs::{trace_id, trace_span, Registry, TraceEventKind};
 use oda_pipeline::frame::Frame;
 use oda_pipeline::streaming::{EpochMeta, Sink};
 use oda_pipeline::PipelineError;
@@ -455,8 +455,6 @@ pub struct OnlineAnalytics {
     /// Highest closed window start processed (footprint watermark).
     max_window: i64,
     metrics: Option<Registry>,
-    tracer: Option<Tracer>,
-    trace_name: String,
 }
 
 impl OnlineAnalytics {
@@ -469,8 +467,6 @@ impl OnlineAnalytics {
             alerts: Vec::new(),
             max_window: i64::MIN,
             metrics: None,
-            tracer: None,
-            trace_name: "online".to_string(),
         }
     }
 
@@ -485,15 +481,11 @@ impl OnlineAnalytics {
     }
 
     /// Attach a metrics registry: fired alerts count into
-    /// `oda_alerts_fired_total{detector=…}`.
+    /// `oda_alerts_fired_total{detector=…}` and, when the registry
+    /// carries a tracer, every alert records an `AlertFired` trace event
+    /// scoped to the epoch that closed the window.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         self.metrics = Some(registry.clone());
-    }
-
-    /// Attach a tracer: every alert records an `AlertFired` trace event
-    /// scoped to the epoch that closed the window.
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
     }
 
     /// The engine's knobs.
@@ -519,31 +511,31 @@ impl OnlineAnalytics {
                 &[("detector", alert.detector.as_str())],
             )
             .inc();
-        }
-        if let Some(tracer) = &self.tracer {
-            let trace = trace_id(&self.trace_name, epoch);
-            let span = trace_span(
-                trace,
-                "alert",
-                oda_obs::fnv1a(
-                    format!("{}|{}|{}", alert.detector, alert.node, alert.sensor).as_bytes(),
-                ),
-            );
-            tracer.record(
-                trace,
-                span,
-                None,
-                epoch,
-                alert.window_ms as u64,
-                0,
-                TraceEventKind::AlertFired {
-                    detector: alert.detector.clone(),
-                    severity: alert.severity.label().to_string(),
-                    sensor: alert.sensor.clone(),
-                    node: alert.node,
-                    window_ms: alert.window_ms,
-                },
-            );
+            if let Some(tracer) = reg.tracer() {
+                let trace = trace_id("online", epoch);
+                let span = trace_span(
+                    trace,
+                    "alert",
+                    oda_obs::fnv1a(
+                        format!("{}|{}|{}", alert.detector, alert.node, alert.sensor).as_bytes(),
+                    ),
+                );
+                tracer.record(
+                    trace,
+                    span,
+                    None,
+                    epoch,
+                    alert.window_ms as u64,
+                    0,
+                    TraceEventKind::AlertFired {
+                        detector: alert.detector.clone(),
+                        severity: alert.severity.label().to_string(),
+                        sensor: alert.sensor.clone(),
+                        node: alert.node,
+                        window_ms: alert.window_ms,
+                    },
+                );
+            }
         }
         self.alerts.push(alert);
     }
@@ -1042,6 +1034,7 @@ pub fn publish_alerts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oda_obs::Tracer;
     use oda_storage::colfile::ColumnData;
 
     /// Build a Silver-shaped frame from (window, node, sensor, mean,
@@ -1293,8 +1286,7 @@ mod tests {
         let registry = Registry::default();
         let tracer = Tracer::new();
         let mut engine = OnlineAnalytics::new(watch_one("p"));
-        engine.attach_metrics(&registry);
-        engine.attach_tracer(&tracer);
+        engine.attach_metrics(&registry.with_tracer(&tracer));
         let mut rows = Vec::new();
         for w in 0..12 {
             let v = 100.0 + if w % 2 == 0 { 0.5 } else { -0.5 };

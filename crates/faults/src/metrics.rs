@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use oda_obs::{Counter, Registry};
+use oda_obs::{Counter, Registry, Tracer};
 
 use crate::{FaultSite, RetryOutcome};
 
@@ -20,6 +20,8 @@ use crate::{FaultSite, RetryOutcome};
 #[derive(Debug, Clone)]
 pub struct FaultMetrics {
     injected: [Arc<Counter>; FaultSite::ALL.len()],
+    /// The tracer the registry carried, if any.
+    pub(crate) tracer: Option<Tracer>,
 }
 
 impl FaultMetrics {
@@ -32,7 +34,10 @@ impl FaultMetrics {
                 &[("site", site.label())],
             )
         });
-        Self { injected }
+        Self {
+            injected,
+            tracer: registry.tracer().cloned(),
+        }
     }
 
     /// Record one fired fault at `site`.

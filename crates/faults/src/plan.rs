@@ -84,7 +84,6 @@ pub struct FaultPlan {
     spec: FaultSpec,
     inner: Mutex<PlanState>,
     metrics: RwLock<Option<FaultMetrics>>,
-    tracer: RwLock<Option<oda_obs::Tracer>>,
 }
 
 #[derive(Debug, Default)]
@@ -106,25 +105,18 @@ impl FaultPlan {
             spec,
             inner: Mutex::new(PlanState::default()),
             metrics: RwLock::new(None),
-            tracer: RwLock::new(None),
         }
     }
 
     /// Count fired faults in `registry` as
-    /// `faults_injected_total{site=...}`. Purely observational: the
-    /// fault schedule is decided before the counter bumps, so metrics
+    /// `faults_injected_total{site=...}` and, when the registry carries
+    /// a tracer, record each as a `fault_injected` trace event with its
+    /// site and kind, so a trace shows *why* an epoch retried or
+    /// crashed. Purely observational: the fault schedule is decided
+    /// before the counter bumps or the event is recorded, so observers
     /// can never perturb it.
     pub fn attach_metrics(&self, registry: &oda_obs::Registry) {
         *self.metrics.write().expect("plan metrics lock") = Some(FaultMetrics::new(registry));
-    }
-
-    /// Record every fired fault as a `fault_injected` trace event in
-    /// `tracer`'s journal, carrying the site and kind so a trace shows
-    /// *why* an epoch retried or crashed. Purely observational, like
-    /// [`FaultPlan::attach_metrics`]: the schedule is decided before the
-    /// event is recorded.
-    pub fn attach_tracer(&self, tracer: &oda_obs::Tracer) {
-        *self.tracer.write().expect("plan tracer lock") = Some(tracer.clone());
     }
 
     /// A plan that only crashes after the sink writes of the given
@@ -258,24 +250,22 @@ impl FaultPoint for FaultPlan {
             drop(state);
             if let Some(m) = self.metrics.read().expect("plan metrics lock").as_ref() {
                 m.record(site);
-            }
-            if let Some(tr) = self.tracer.read().expect("plan tracer lock").as_ref() {
-                // Content is replay-stable: (site, ctx) streams are
-                // schedule-isolated, so each span's event sequence is a
-                // pure function of the seed even under worker threads.
-                let trace = oda_obs::trace_id("faults", oda_obs::SERVICE_TRACE);
-                tr.record(
-                    trace,
-                    oda_obs::trace_span(trace, site.label(), ctx),
-                    None,
-                    0,
-                    ctx,
-                    0,
-                    oda_obs::TraceEventKind::FaultInjected {
-                        site: site.label().to_string(),
-                        kind: kind.to_string(),
-                    },
-                );
+                if let Some(tr) = &m.tracer {
+                    // Content is replay-stable: (site, ctx) streams are
+                    // schedule-isolated, so each span's event sequence is
+                    // a pure function of the seed even under worker
+                    // threads.
+                    tr.service_event(
+                        "faults",
+                        site.label(),
+                        ctx,
+                        ctx,
+                        oda_obs::TraceEventKind::FaultInjected {
+                            site: site.label().to_string(),
+                            kind: kind.to_string(),
+                        },
+                    );
+                }
             }
         }
         kind

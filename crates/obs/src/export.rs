@@ -35,7 +35,11 @@ pub const TICK: u64 = 1_000;
 // JSON writing primitives (the crate is dependency-free by design).
 // ---------------------------------------------------------------------------
 
-fn esc_into(s: &str, out: &mut String) {
+/// Append `s` to `out` escaped as the body of a JSON string literal
+/// (RFC 8259): quote, backslash and every control character below
+/// U+0020 are escaped, so the result never carries a raw control byte.
+/// The one JSON string escaper of the stack's hand-written renderers.
+pub fn esc_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -51,39 +55,40 @@ fn esc_into(s: &str, out: &mut String) {
     }
 }
 
-fn w_str(out: &mut String, key: &str, v: &str) {
+/// Start the member `"key":`, after a separating comma unless it opens
+/// its object (every value ends in `"`, a digit, a letter or `}`, so a
+/// trailing `{` always means "first member").
+fn w_key(out: &mut String, key: &str) {
+    if !(out.is_empty() || out.ends_with('{')) {
+        out.push(',');
+    }
     out.push('"');
     out.push_str(key);
-    out.push_str("\":\"");
+    out.push_str("\":");
+}
+
+fn w_str(out: &mut String, key: &str, v: &str) {
+    w_key(out, key);
+    out.push('"');
     esc_into(v, out);
     out.push('"');
 }
 
-fn w_u64(out: &mut String, key: &str, v: u64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(&v.to_string());
-}
-
-fn w_i64(out: &mut String, key: &str, v: i64) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
+fn w_num(out: &mut String, key: &str, v: impl std::fmt::Display) {
+    w_key(out, key);
     out.push_str(&v.to_string());
 }
 
 fn w_bool(out: &mut String, key: &str, v: bool) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
+    w_key(out, key);
     out.push_str(if v { "true" } else { "false" });
 }
 
 /// Write the kind's discriminator and args object (fixed field order).
 fn w_kind(out: &mut String, kind: &TraceEventKind) {
     w_str(out, "kind", kind.name());
-    out.push_str(",\"args\":{");
+    w_key(out, "args");
+    out.push('{');
     match kind {
         TraceEventKind::Produce {
             topic,
@@ -92,33 +97,26 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             bytes,
         } => {
             w_str(out, "topic", topic);
-            out.push(',');
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "offset", *offset);
-            out.push(',');
-            w_u64(out, "bytes", *bytes);
+            w_num(out, "partition", *partition);
+            w_num(out, "offset", *offset);
+            w_num(out, "bytes", *bytes);
         }
         TraceEventKind::RetentionSweep { topic, dropped } => {
             w_str(out, "topic", topic);
-            out.push(',');
-            w_u64(out, "dropped", *dropped);
+            w_num(out, "dropped", *dropped);
         }
         TraceEventKind::Epoch {
             records,
             partitions,
             watermark_ms,
         } => {
-            w_u64(out, "records", *records);
-            out.push(',');
-            w_u64(out, "partitions", *partitions);
-            out.push(',');
-            w_i64(out, "watermark_ms", *watermark_ms);
+            w_num(out, "records", *records);
+            w_num(out, "partitions", *partitions);
+            w_num(out, "watermark_ms", *watermark_ms);
         }
         TraceEventKind::Partition { partition, records } => {
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "records", *records);
+            w_num(out, "partition", *partition);
+            w_num(out, "records", *records);
         }
         TraceEventKind::PartitionFetch {
             topic,
@@ -128,43 +126,34 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             records,
         } => {
             w_str(out, "topic", topic);
-            out.push(',');
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "from", *from);
-            out.push(',');
-            w_u64(out, "to", *to);
-            out.push(',');
-            w_u64(out, "records", *records);
+            w_num(out, "partition", *partition);
+            w_num(out, "from", *from);
+            w_num(out, "to", *to);
+            w_num(out, "records", *records);
         }
         TraceEventKind::PartitionDecode { partition, rows } => {
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "rows", *rows);
+            w_num(out, "partition", *partition);
+            w_num(out, "rows", *rows);
         }
         TraceEventKind::Transform { rows_in, rows_out } => {
-            w_u64(out, "rows_in", *rows_in);
-            out.push(',');
-            w_u64(out, "rows_out", *rows_out);
+            w_num(out, "rows_in", *rows_in);
+            w_num(out, "rows_out", *rows_out);
         }
         TraceEventKind::SinkWrite { rows } => {
-            w_u64(out, "rows", *rows);
+            w_num(out, "rows", *rows);
         }
         TraceEventKind::Checkpoint { epoch } => {
-            w_u64(out, "epoch", *epoch);
+            w_num(out, "epoch", *epoch);
         }
         TraceEventKind::OceanPut { bucket, key, bytes }
         | TraceEventKind::OceanGet { bucket, key, bytes } => {
             w_str(out, "bucket", bucket);
-            out.push(',');
             w_str(out, "key", key);
-            out.push(',');
-            w_u64(out, "bytes", *bytes);
+            w_num(out, "bytes", *bytes);
         }
         TraceEventKind::LakeInsert { series, points } => {
             w_str(out, "series", series);
-            out.push(',');
-            w_u64(out, "points", *points);
+            w_num(out, "points", *points);
         }
         TraceEventKind::Lifecycle {
             artifact,
@@ -173,16 +162,12 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             bytes,
         } => {
             w_str(out, "artifact", artifact);
-            out.push(',');
             w_str(out, "action", action);
-            out.push(',');
             w_str(out, "tier", tier);
-            out.push(',');
-            w_u64(out, "bytes", *bytes);
+            w_num(out, "bytes", *bytes);
         }
         TraceEventKind::FaultInjected { site, kind } => {
             w_str(out, "site", site);
-            out.push(',');
             w_str(out, "kind", kind);
         }
         TraceEventKind::Retry {
@@ -191,9 +176,7 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             gave_up,
         } => {
             w_str(out, "op", op);
-            out.push(',');
-            w_u64(out, "attempts", *attempts);
-            out.push(',');
+            w_num(out, "attempts", *attempts);
             w_bool(out, "gave_up", *gave_up);
         }
         TraceEventKind::ReplicaFetch {
@@ -206,17 +189,11 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             isr,
         } => {
             w_str(out, "topic", topic);
-            out.push(',');
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "node", *node);
-            out.push(',');
-            w_u64(out, "from", *from);
-            out.push(',');
-            w_u64(out, "to", *to);
-            out.push(',');
-            w_u64(out, "records", *records);
-            out.push(',');
+            w_num(out, "partition", *partition);
+            w_num(out, "node", *node);
+            w_num(out, "from", *from);
+            w_num(out, "to", *to);
+            w_num(out, "records", *records);
             w_bool(out, "isr", *isr);
         }
         TraceEventKind::LeaderElected {
@@ -226,12 +203,9 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             to_node,
         } => {
             w_str(out, "topic", topic);
-            out.push(',');
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "from_node", *from_node);
-            out.push(',');
-            w_u64(out, "to_node", *to_node);
+            w_num(out, "partition", *partition);
+            w_num(out, "from_node", *from_node);
+            w_num(out, "to_node", *to_node);
         }
         TraceEventKind::IsrChange {
             topic,
@@ -240,11 +214,8 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             joined,
         } => {
             w_str(out, "topic", topic);
-            out.push(',');
-            w_u64(out, "partition", *partition);
-            out.push(',');
-            w_u64(out, "node", *node);
-            out.push(',');
+            w_num(out, "partition", *partition);
+            w_num(out, "node", *node);
             w_bool(out, "joined", *joined);
         }
         TraceEventKind::PlanExecuted {
@@ -256,15 +227,10 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             groups,
         } => {
             w_str(out, "query", query);
-            out.push(',');
-            w_u64(out, "rows_out", *rows_out);
-            out.push(',');
-            w_u64(out, "chunks_read", *chunks_read);
-            out.push(',');
-            w_u64(out, "chunks_pruned", *chunks_pruned);
-            out.push(',');
-            w_u64(out, "index_hits", *index_hits);
-            out.push(',');
+            w_num(out, "rows_out", *rows_out);
+            w_num(out, "chunks_read", *chunks_read);
+            w_num(out, "chunks_pruned", *chunks_pruned);
+            w_num(out, "index_hits", *index_hits);
             w_str(out, "groups", groups);
         }
         TraceEventKind::AlertFired {
@@ -275,28 +241,13 @@ fn w_kind(out: &mut String, kind: &TraceEventKind) {
             window_ms,
         } => {
             w_str(out, "detector", detector);
-            out.push(',');
             w_str(out, "severity", severity);
-            out.push(',');
             w_str(out, "sensor", sensor);
-            out.push(',');
-            w_i64(out, "node", *node);
-            out.push(',');
-            w_i64(out, "window_ms", *window_ms);
+            w_num(out, "node", *node);
+            w_num(out, "window_ms", *window_ms);
         }
     }
     out.push('}');
-}
-
-/// Category label for the Chrome export's `cat` field.
-fn category(kind: &TraceEventKind) -> &'static str {
-    match kind.lane() {
-        0 | 1 | 14 | 15..=17 => "stream",
-        2..=8 | 18 => "pipeline",
-        9..=12 => "storage",
-        19 => "analytics",
-        _ => "faults",
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -313,22 +264,18 @@ pub fn export_jsonl(events: &[TraceEvent]) -> String {
     for e in &events {
         out.push('{');
         w_str(&mut out, "trace", &format!("{:016x}", e.trace.0));
-        out.push(',');
         w_str(&mut out, "span", &format!("{:016x}", e.span.0));
-        out.push(',');
         match e.parent {
             Some(p) => w_str(&mut out, "parent", &format!("{:016x}", p.0)),
-            None => out.push_str("\"parent\":null"),
+            None => {
+                w_key(&mut out, "parent");
+                out.push_str("null");
+            }
         }
-        out.push(',');
-        w_u64(&mut out, "scope", e.scope);
-        out.push(',');
-        w_u64(&mut out, "ctx", e.ctx);
-        out.push(',');
-        w_u64(&mut out, "seq", e.seq);
-        out.push(',');
-        w_u64(&mut out, "dur_ns", e.dur_ns);
-        out.push(',');
+        w_num(&mut out, "scope", e.scope);
+        w_num(&mut out, "ctx", e.ctx);
+        w_num(&mut out, "seq", e.seq);
+        w_num(&mut out, "dur_ns", e.dur_ns);
         w_kind(&mut out, &e.kind);
         out.push_str("}\n");
     }
@@ -570,43 +517,32 @@ pub fn export_chrome_trace(events: &[TraceEvent]) -> String {
         first = false;
         out.push('{');
         w_str(&mut out, "name", e.name());
-        out.push(',');
-        w_str(&mut out, "cat", category(&e.kind));
-        out.push(',');
+        w_str(&mut out, "cat", e.kind.category());
         match dur {
             Some(d) => {
                 w_str(&mut out, "ph", "X");
-                out.push(',');
-                w_u64(&mut out, "ts", ts);
-                out.push(',');
-                w_u64(&mut out, "dur", d);
+                w_num(&mut out, "ts", ts);
+                w_num(&mut out, "dur", d);
             }
             None => {
                 w_str(&mut out, "ph", "i");
-                out.push(',');
                 w_str(&mut out, "s", "t");
-                out.push(',');
-                w_u64(&mut out, "ts", ts);
+                w_num(&mut out, "ts", ts);
             }
         }
-        out.push(',');
-        w_u64(&mut out, "pid", 1);
-        out.push(',');
-        w_u64(&mut out, "tid", chrome_tid(&e.kind));
-        out.push_str(",\"args\":{");
+        w_num(&mut out, "pid", 1);
+        w_num(&mut out, "tid", chrome_tid(&e.kind));
+        w_key(&mut out, "args");
+        out.push('{');
         w_str(&mut out, "trace", &format!("{:016x}", e.trace.0));
-        out.push(',');
         w_str(&mut out, "span", &format!("{:016x}", e.span.0));
-        out.push(',');
-        w_u64(&mut out, "scope", e.scope);
-        out.push(',');
-        w_u64(&mut out, "seq", e.seq);
-        out.push(',');
+        w_num(&mut out, "scope", e.scope);
+        w_num(&mut out, "seq", e.seq);
         let mut kind_buf = String::new();
         w_kind(&mut kind_buf, &e.kind);
         // Reuse the kind writer's args object as a nested "detail".
         let args_start = kind_buf.find("\"args\":").expect("kind writer emits args") + 7;
-        out.push_str("\"detail\":");
+        w_key(&mut out, "detail");
         out.push_str(&kind_buf[args_start..]);
         out.push_str("}}");
     }
@@ -698,7 +634,7 @@ mod tests {
             index_hits: 1,
             groups: "0,2,5".into(),
         };
-        assert_eq!(category(&kind), "pipeline");
+        assert_eq!(kind.category(), "pipeline");
         assert!(kind.is_span(), "plan execution has a duration");
         let events = vec![TraceEvent {
             trace: t,
@@ -726,7 +662,7 @@ mod tests {
             node: -1,
             window_ms: 45_000,
         };
-        assert_eq!(category(&kind), "analytics");
+        assert_eq!(kind.category(), "analytics");
         assert!(!kind.is_span(), "alerts are instant events");
         let events = vec![TraceEvent {
             trace: t,
@@ -785,7 +721,7 @@ mod tests {
             })
             .collect();
         for k in &kinds {
-            assert_eq!(category(k), "stream", "kind {}", k.name());
+            assert_eq!(k.category(), "stream", "kind {}", k.name());
             assert!(!k.is_span(), "replication events are instants");
         }
         let text = export_jsonl(&events);

@@ -749,16 +749,8 @@ fn push_kv_str(out: &mut String, level: usize, key: &str, v: &str, comma: bool) 
     out.push('"');
     out.push_str(key);
     out.push_str("\": \"");
-    // Keys and verdicts are identifier-shaped; objective names come
-    // from declarations, so escape conservatively anyway.
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
+    // Objective names are public, caller-declared strings.
+    crate::export::esc_into(v, out);
     out.push('"');
     if comma {
         out.push(',');
@@ -1010,6 +1002,27 @@ mod tests {
         assert_eq!(
             j.matches("\"burn_short_pct\"").count(),
             default_objectives().len()
+        );
+    }
+
+    #[test]
+    fn render_escapes_control_characters_in_objective_names() {
+        let objectives = vec![SloObjective {
+            name: "a\tb\r\u{1}".into(),
+            subsystem: Subsystem::Faults,
+            kind: SloKind::RateBound {
+                counter: Selector::family("ev_total"),
+                max_per_tick: 1,
+            },
+        }];
+        let mut eng = HealthEngine::new(objectives, 2, 4);
+        let j = render_health_json(&eng.observe_snapshot(snap_with(&[("ev_total", 0)])));
+        assert!(j.contains("\"name\": \"a\\tb\\r\\u0001\""), "{j}");
+        // RFC 8259: no raw control character inside the document; the
+        // only bytes below 0x20 are the renderer's own line breaks.
+        assert!(
+            j.bytes().all(|b| b >= 0x20 || b == b'\n'),
+            "raw control byte in {j:?}"
         );
     }
 

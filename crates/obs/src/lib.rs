@@ -18,6 +18,16 @@
 //! tier placements, and byte-stable exporters ([`export`]) for Chrome
 //! `trace_event` JSON and self-describing JSONL.
 //!
+//! # One observer handle
+//!
+//! [`Registry`] is the handle every instrumented component attaches
+//! to. [`Registry::with_tracer`] returns a handle over the same metric
+//! families that also carries a [`Tracer`], so each service exposes a
+//! single `attach_metrics(&registry)` and keeps a single observer slot:
+//! a plain [`Registry::new`] wires metrics only, a traced handle wires
+//! metrics, trace events and lineage. Long-lived services record their
+//! instant events through one call, [`Tracer::service_event`].
+//!
 //! On top of the registry sits the operator-plane half: a
 //! deterministic SLO health engine ([`health`]) that diffs
 //! [`Registry::snapshot`]s over logical ticks, evaluates multi-window
@@ -60,7 +70,8 @@ pub mod span;
 pub mod trace;
 
 pub use export::{
-    critical_path, export_chrome_trace, export_jsonl, render_span_tree, span_tree, SpanNode,
+    critical_path, esc_into, export_chrome_trace, export_jsonl, render_span_tree, span_tree,
+    SpanNode,
 };
 pub use health::{
     default_objectives, render_health_json, HealthEngine, HealthReport, MetricsSnapshot,

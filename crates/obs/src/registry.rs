@@ -2,7 +2,10 @@
 //! them as Prometheus text exposition.
 //!
 //! The registry is a `Clone`-able handle (`Arc` inside) so every layer
-//! of the stack can hold the same one. Lookup takes a short
+//! of the stack can hold the same one. It is also the stack's one
+//! observer handle: [`Registry::with_tracer`] returns a handle over the
+//! same metric families that also carries a [`Tracer`], so a service's
+//! single `attach_metrics(&registry)` call wires up both halves. Lookup takes a short
 //! `RwLock`-guarded `BTreeMap` probe, but call sites are expected to do
 //! it once at attach time and cache the returned `Arc<Counter>` /
 //! `Arc<Gauge>` / `Arc<Histogram>`; the per-observation path is then a
@@ -19,6 +22,7 @@ use std::sync::{Arc, RwLock};
 
 use crate::histogram::Histogram;
 use crate::metric::{Counter, Gauge};
+use crate::trace::Tracer;
 
 /// Sorted `(label, value)` pairs identifying one series of a metric.
 type LabelSet = Vec<(String, String)>;
@@ -29,17 +33,22 @@ struct Family<T> {
     series: BTreeMap<LabelSet, Arc<T>>,
 }
 
+/// Every family of one instrument kind, by name.
+type Families<T> = RwLock<BTreeMap<String, Family<T>>>;
+
 #[derive(Default)]
 struct Inner {
-    counters: RwLock<BTreeMap<String, Family<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Family<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Family<Histogram>>>,
+    counters: Families<Counter>,
+    gauges: Families<Gauge>,
+    histograms: Families<Histogram>,
 }
 
-/// A shared, thread-safe collection of named metrics.
+/// A shared, thread-safe collection of named metrics, optionally
+/// carrying the [`Tracer`] instrumented components record events into.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Arc<Inner>,
+    tracer: Option<Tracer>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -58,7 +67,7 @@ fn label_set(labels: &[(&str, &str)]) -> LabelSet {
 }
 
 fn get_or_create<T, F: FnOnce() -> T>(
-    map: &RwLock<BTreeMap<String, Family<T>>>,
+    map: &Families<T>,
     name: &str,
     help: &str,
     labels: &[(&str, &str)],
@@ -82,9 +91,25 @@ fn get_or_create<T, F: FnOnce() -> T>(
 }
 
 impl Registry {
-    /// A fresh, empty registry.
+    /// A fresh, empty registry that carries no tracer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A handle over this registry's metric families that also carries
+    /// `tracer`. Metrics recorded through either handle land in the same
+    /// series; components attached with the returned handle record trace
+    /// events and lineage into `tracer` as well.
+    pub fn with_tracer(&self, tracer: &Tracer) -> Registry {
+        Registry {
+            inner: Arc::clone(&self.inner),
+            tracer: Some(tracer.clone()),
+        }
+    }
+
+    /// The tracer this handle carries, if any.
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
     }
 
     /// Get or create the counter `name{labels}`; `help` is recorded on
@@ -146,43 +171,23 @@ impl Registry {
     /// read-only: short read-lock probes plus relaxed atomic loads, so
     /// snapshotting never perturbs the data plane.
     pub fn snapshot(&self) -> crate::health::MetricsSnapshot {
-        let mut snap = crate::health::MetricsSnapshot::default();
-        for (name, family) in self
-            .inner
-            .counters
-            .read()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            for (labels, c) in &family.series {
-                snap.counters
-                    .insert((name.clone(), labels.clone()), c.get());
+        fn copy<T, V>(
+            map: &Families<T>,
+            value: impl Fn(&T) -> V,
+        ) -> BTreeMap<(String, LabelSet), V> {
+            let mut out = BTreeMap::new();
+            for (name, family) in map.read().expect("obs registry poisoned").iter() {
+                for (labels, m) in &family.series {
+                    out.insert((name.clone(), labels.clone()), value(m));
+                }
             }
+            out
         }
-        for (name, family) in self
-            .inner
-            .gauges
-            .read()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            for (labels, g) in &family.series {
-                snap.gauges.insert((name.clone(), labels.clone()), g.get());
-            }
+        crate::health::MetricsSnapshot {
+            counters: copy(&self.inner.counters, |c| c.get()),
+            gauges: copy(&self.inner.gauges, |g| g.get()),
+            histograms: copy(&self.inner.histograms, |h| h.snapshot()),
         }
-        for (name, family) in self
-            .inner
-            .histograms
-            .read()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            for (labels, h) in &family.series {
-                snap.histograms
-                    .insert((name.clone(), labels.clone()), h.snapshot());
-            }
-        }
-        snap
     }
 
     /// Render every metric in Prometheus text exposition format.
@@ -193,43 +198,42 @@ impl Registry {
     /// integers, so the bytes are stable across runs feeding the same
     /// observations.
     pub fn render_prometheus(&self) -> String {
+        fn render<T>(
+            out: &mut String,
+            map: &Families<T>,
+            kind: &str,
+            series: impl Fn(&mut String, &str, &LabelSet, &T),
+        ) {
+            for (name, family) in map.read().expect("obs registry poisoned").iter() {
+                writeln!(out, "# HELP {name} {}", family.help).unwrap();
+                writeln!(out, "# TYPE {name} {kind}").unwrap();
+                for (labels, m) in &family.series {
+                    series(out, name, labels, m);
+                }
+            }
+        }
         let mut out = String::new();
-        for (name, family) in self
-            .inner
-            .counters
-            .read()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            writeln!(out, "# HELP {name} {}", family.help).unwrap();
-            writeln!(out, "# TYPE {name} counter").unwrap();
-            for (labels, c) in &family.series {
+        render(
+            &mut out,
+            &self.inner.counters,
+            "counter",
+            |out, name, labels, c| {
                 writeln!(out, "{name}{} {}", fmt_labels(labels, &[]), c.get()).unwrap();
-            }
-        }
-        for (name, family) in self
-            .inner
-            .gauges
-            .read()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            writeln!(out, "# HELP {name} {}", family.help).unwrap();
-            writeln!(out, "# TYPE {name} gauge").unwrap();
-            for (labels, g) in &family.series {
+            },
+        );
+        render(
+            &mut out,
+            &self.inner.gauges,
+            "gauge",
+            |out, name, labels, g| {
                 writeln!(out, "{name}{} {}", fmt_labels(labels, &[]), g.get()).unwrap();
-            }
-        }
-        for (name, family) in self
-            .inner
-            .histograms
-            .read()
-            .expect("obs registry poisoned")
-            .iter()
-        {
-            writeln!(out, "# HELP {name} {}", family.help).unwrap();
-            writeln!(out, "# TYPE {name} histogram").unwrap();
-            for (labels, h) in &family.series {
+            },
+        );
+        render(
+            &mut out,
+            &self.inner.histograms,
+            "histogram",
+            |out, name, labels, h| {
                 let snap = h.snapshot();
                 let mut cumulative = 0u64;
                 for (i, &bound) in snap.bounds.iter().enumerate() {
@@ -242,23 +246,15 @@ impl Registry {
                     )
                     .unwrap();
                 }
-                writeln!(
-                    out,
-                    "{name}_bucket{} {}",
-                    fmt_labels(labels, &[("le", "+Inf")]),
-                    snap.count()
-                )
-                .unwrap();
-                writeln!(out, "{name}_sum{} {}", fmt_labels(labels, &[]), snap.sum).unwrap();
-                writeln!(
-                    out,
-                    "{name}_count{} {}",
+                let (plain, inf) = (
                     fmt_labels(labels, &[]),
-                    snap.count()
-                )
-                .unwrap();
-            }
-        }
+                    fmt_labels(labels, &[("le", "+Inf")]),
+                );
+                writeln!(out, "{name}_bucket{inf} {}", snap.count()).unwrap();
+                writeln!(out, "{name}_sum{plain} {}", snap.sum).unwrap();
+                writeln!(out, "{name}_count{plain} {}", snap.count()).unwrap();
+            },
+        );
         out
     }
 }
@@ -352,6 +348,31 @@ h_ns_count 1
             // Shape still renders with zeroed values.
             assert!(text.contains("# TYPE a_total counter"));
             assert!(text.contains("a_total{p=\"0\"} 0"));
+        }
+    }
+
+    #[test]
+    fn with_tracer_shares_families_and_carries_the_tracer() {
+        let plain = Registry::new();
+        let tracer = Tracer::new();
+        let observed = plain.with_tracer(&tracer);
+        observed.counter("shared_total", "s", &[]).add(4);
+        assert!(plain.render_prometheus().contains("shared_total"));
+        assert!(
+            plain.tracer().is_none(),
+            "a plain registry carries no tracer"
+        );
+        let kind = crate::TraceEventKind::Checkpoint { epoch: 0 };
+        observed
+            .tracer()
+            .unwrap()
+            .service_event("svc", "op", 1, 2, kind);
+        if crate::enabled() {
+            let e = &tracer.events()[0];
+            let trace = crate::trace_id("svc", crate::SERVICE_TRACE);
+            let span = crate::trace_span(trace, "op", 1);
+            assert_eq!((e.trace, e.span, e.parent), (trace, span, None));
+            assert_eq!((e.scope, e.ctx, e.dur_ns), (0, 2, 0));
         }
     }
 

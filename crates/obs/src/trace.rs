@@ -299,73 +299,54 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
+    /// Every fixed fact about the kind, from one match per variant:
+    /// `(name, lane, is_span, category)`.
+    fn facts(&self) -> (&'static str, u8, bool, &'static str) {
+        use TraceEventKind as K;
+        match self {
+            K::Produce { .. } => ("produce", 0, false, "stream"),
+            K::RetentionSweep { .. } => ("retention_sweep", 1, false, "stream"),
+            K::Epoch { .. } => ("epoch", 2, true, "pipeline"),
+            K::Partition { .. } => ("partition", 3, true, "pipeline"),
+            K::PartitionFetch { .. } => ("fetch", 4, true, "pipeline"),
+            K::PartitionDecode { .. } => ("decode", 5, true, "pipeline"),
+            K::Transform { .. } => ("transform", 6, true, "pipeline"),
+            K::SinkWrite { .. } => ("sink", 7, true, "pipeline"),
+            K::Checkpoint { .. } => ("checkpoint", 8, true, "pipeline"),
+            K::OceanPut { .. } => ("ocean_put", 9, false, "storage"),
+            K::OceanGet { .. } => ("ocean_get", 10, false, "storage"),
+            K::LakeInsert { .. } => ("lake_insert", 11, false, "storage"),
+            K::Lifecycle { .. } => ("lifecycle", 12, false, "storage"),
+            K::FaultInjected { .. } => ("fault_injected", 13, false, "faults"),
+            K::Retry { .. } => ("retry", 14, false, "stream"),
+            K::ReplicaFetch { .. } => ("replica_fetch", 15, false, "stream"),
+            K::LeaderElected { .. } => ("leader_elected", 16, false, "stream"),
+            K::IsrChange { .. } => ("isr_change", 17, false, "stream"),
+            K::PlanExecuted { .. } => ("plan_executed", 18, true, "pipeline"),
+            K::AlertFired { .. } => ("alert_fired", 19, false, "analytics"),
+        }
+    }
+
     /// Short stable name used by exporters and span-tree displays.
     pub fn name(&self) -> &'static str {
-        match self {
-            TraceEventKind::Produce { .. } => "produce",
-            TraceEventKind::RetentionSweep { .. } => "retention_sweep",
-            TraceEventKind::Epoch { .. } => "epoch",
-            TraceEventKind::Partition { .. } => "partition",
-            TraceEventKind::PartitionFetch { .. } => "fetch",
-            TraceEventKind::PartitionDecode { .. } => "decode",
-            TraceEventKind::Transform { .. } => "transform",
-            TraceEventKind::SinkWrite { .. } => "sink",
-            TraceEventKind::Checkpoint { .. } => "checkpoint",
-            TraceEventKind::OceanPut { .. } => "ocean_put",
-            TraceEventKind::OceanGet { .. } => "ocean_get",
-            TraceEventKind::LakeInsert { .. } => "lake_insert",
-            TraceEventKind::Lifecycle { .. } => "lifecycle",
-            TraceEventKind::FaultInjected { .. } => "fault_injected",
-            TraceEventKind::Retry { .. } => "retry",
-            TraceEventKind::ReplicaFetch { .. } => "replica_fetch",
-            TraceEventKind::LeaderElected { .. } => "leader_elected",
-            TraceEventKind::IsrChange { .. } => "isr_change",
-            TraceEventKind::PlanExecuted { .. } => "plan_executed",
-            TraceEventKind::AlertFired { .. } => "alert_fired",
-        }
+        self.facts().0
     }
 
     /// Canonical sort lane: fixes the relative order of event kinds
     /// within one scope, independent of arrival order.
     pub fn lane(&self) -> u8 {
-        match self {
-            TraceEventKind::Produce { .. } => 0,
-            TraceEventKind::RetentionSweep { .. } => 1,
-            TraceEventKind::Epoch { .. } => 2,
-            TraceEventKind::Partition { .. } => 3,
-            TraceEventKind::PartitionFetch { .. } => 4,
-            TraceEventKind::PartitionDecode { .. } => 5,
-            TraceEventKind::Transform { .. } => 6,
-            TraceEventKind::SinkWrite { .. } => 7,
-            TraceEventKind::Checkpoint { .. } => 8,
-            TraceEventKind::OceanPut { .. } => 9,
-            TraceEventKind::OceanGet { .. } => 10,
-            TraceEventKind::LakeInsert { .. } => 11,
-            TraceEventKind::Lifecycle { .. } => 12,
-            TraceEventKind::FaultInjected { .. } => 13,
-            TraceEventKind::Retry { .. } => 14,
-            TraceEventKind::ReplicaFetch { .. } => 15,
-            TraceEventKind::LeaderElected { .. } => 16,
-            TraceEventKind::IsrChange { .. } => 17,
-            TraceEventKind::PlanExecuted { .. } => 18,
-            TraceEventKind::AlertFired { .. } => 19,
-        }
+        self.facts().1
     }
 
     /// True for span-shaped events (they have a meaningful duration and
     /// participate in the span tree); false for instant events.
     pub fn is_span(&self) -> bool {
-        matches!(
-            self,
-            TraceEventKind::Epoch { .. }
-                | TraceEventKind::Partition { .. }
-                | TraceEventKind::PartitionFetch { .. }
-                | TraceEventKind::PartitionDecode { .. }
-                | TraceEventKind::Transform { .. }
-                | TraceEventKind::SinkWrite { .. }
-                | TraceEventKind::Checkpoint { .. }
-                | TraceEventKind::PlanExecuted { .. }
-        )
+        self.facts().2
+    }
+
+    /// Category label for the Chrome export's `cat` field.
+    pub(crate) fn category(&self) -> &'static str {
+        self.facts().3
     }
 }
 
@@ -504,10 +485,13 @@ impl Default for TraceJournal {
     }
 }
 
-/// The handle instrumented components hold: a shared [`TraceJournal`]
+/// The trace half of the observer handle: a shared [`TraceJournal`]
 /// plus a shared [`Lineage`] graph. Cheap to clone (both are
-/// `Arc`-backed); attach one tracer to every component in a flow via
-/// the `attach_tracer` idiom and all events land in one journal.
+/// `Arc`-backed). Components receive it inside a
+/// [`Registry`](crate::Registry) built with
+/// [`Registry::with_tracer`](crate::Registry::with_tracer), so one
+/// `attach_metrics` call per component lands every event of a flow in
+/// one journal.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     journal: Arc<TraceJournal>,
@@ -560,6 +544,22 @@ impl Tracer {
             dur_ns,
             kind,
         });
+    }
+
+    /// Record one instant event of a long-lived service (broker,
+    /// storage tier, fault plan): trace `trace_id(service,
+    /// SERVICE_TRACE)`, span `trace_span(trace, op, site)`, no parent,
+    /// scope 0, duration 0.
+    pub fn service_event(
+        &self,
+        service: &str,
+        op: &str,
+        site: u64,
+        ctx: u64,
+        kind: TraceEventKind,
+    ) {
+        let trace = trace_id(service, SERVICE_TRACE);
+        self.record(trace, trace_span(trace, op, site), None, 0, ctx, 0, kind);
     }
 
     /// Canonical-order snapshot of the journal.

@@ -37,5 +37,5 @@ pub use frame::{Frame, StrColumn};
 pub use logical::{
     ExecContext, ExecStats, LogicalPlan, Query, ScanPredicate, ScanSource, SortKey, StageTiming,
 };
-pub use metrics::{PipelineMetrics, PlanMetrics};
+pub use metrics::PipelineMetrics;
 pub use streaming::{MemorySink, Sink, StreamingQuery, StreamingQueryBuilder};

@@ -39,14 +39,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use oda_obs::{trace_id, trace_span, TraceEventKind, Tracer, SERVICE_TRACE};
+use oda_obs::{trace_id, trace_span, Registry, TraceEventKind, SERVICE_TRACE};
 use oda_storage::colfile::{ChunkStats, ColumnData, ColumnType, LazyTable, TableFile, TableSchema};
 
 use crate::error::PipelineError;
 use crate::expr::{CmpOp, Expr};
 use crate::frame::Frame;
 use crate::kernels;
-use crate::metrics::PlanMetrics;
 use crate::ops::{self, Agg, AggSpec};
 use crate::window::assign_window;
 
@@ -297,10 +296,10 @@ pub struct ExecStats {
 pub struct ExecContext {
     /// Query name, used in metrics-free contexts too (trace identity).
     pub name: String,
-    /// Plan counters (`query_chunks_pruned_total`, ...).
-    pub metrics: Option<PlanMetrics>,
-    /// Emits one `plan_executed` span per execution.
-    pub tracer: Option<Tracer>,
+    /// Observer handle: executions count into the plan counters
+    /// (`query_chunks_pruned_total`, ...) and, when the registry carries
+    /// a tracer, each records one `plan_executed` span.
+    pub registry: Option<Registry>,
 }
 
 impl ExecContext {
@@ -331,16 +330,40 @@ impl LogicalPlan {
     }
 
     /// Execute, returning pruning statistics and feeding `ctx`'s
-    /// metrics and tracer.
+    /// observer handle.
     pub fn execute_with(&self, ctx: &ExecContext) -> Result<(Frame, ExecStats), PipelineError> {
         let start = Instant::now();
         let mut stats = ExecStats::default();
         let frame = exec(self, &mut stats)?;
         stats.rows_out = frame.rows() as u64;
-        if let Some(m) = &ctx.metrics {
-            m.record(&stats);
+        let Some(registry) = &ctx.registry else {
+            return Ok((frame, stats));
+        };
+        for (name, help, n) in [
+            (
+                "query_plans_executed_total",
+                "Logical query plans executed",
+                1,
+            ),
+            (
+                "query_chunks_read_total",
+                "Column chunks decoded by planned scans",
+                stats.chunks_read,
+            ),
+            (
+                "query_chunks_pruned_total",
+                "Column chunks skipped by stats or index pruning",
+                stats.chunks_pruned,
+            ),
+            (
+                "query_index_hits_total",
+                "Pushed predicates answered by a secondary index",
+                stats.index_hits,
+            ),
+        ] {
+            registry.counter(name, help, &[]).add(n);
         }
-        if let Some(tr) = &ctx.tracer {
+        if let Some(tr) = registry.tracer() {
             let trace = trace_id(&ctx.name, SERVICE_TRACE);
             let groups = stats
                 .groups_scanned

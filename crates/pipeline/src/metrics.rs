@@ -1,14 +1,17 @@
 //! Pipeline engine metrics: epoch/record throughput counters and
-//! per-stage latency histograms.
+//! per-stage latency histograms. (The logical planner's counters are
+//! recorded straight into the registry an
+//! [`crate::logical::ExecContext`] carries.)
 //!
 //! Attached to a query with
 //! [`crate::streaming::StreamingQueryBuilder::metrics`]; each committed
 //! epoch bumps the counters and feeds its [`EpochTimings`] into the
-//! `pipeline_stage_duration_ns{stage=...}` histograms.
+//! `pipeline_stage_duration_ns{stage=...}` histograms. The tracer the
+//! registry carries, if any, rides along in [`PipelineMetrics`].
 
 use std::sync::Arc;
 
-use oda_obs::{exponential_bounds, Counter, Histogram, Registry};
+use oda_obs::{exponential_bounds, Counter, Histogram, Registry, Tracer};
 
 use crate::executor::EpochTimings;
 
@@ -25,6 +28,8 @@ pub struct PipelineMetrics {
     /// Epochs that failed before their checkpoint committed.
     pub failed_epochs: Arc<Counter>,
     stage_ns: [Arc<Histogram>; STAGES.len()],
+    /// The tracer the registry carried, if any.
+    pub(crate) tracer: Option<Tracer>,
 }
 
 impl PipelineMetrics {
@@ -54,6 +59,7 @@ impl PipelineMetrics {
                 &[],
             ),
             stage_ns,
+            tracer: registry.tracer().cloned(),
         }
     }
 
@@ -79,58 +85,6 @@ impl PipelineMetrics {
             .iter()
             .position(|&s| s == stage)
             .map(|i| &self.stage_ns[i])
-    }
-}
-
-/// Counters for the logical query planner — how much pushdown saved.
-///
-/// Fed by [`crate::logical::LogicalPlan::execute_with`] through
-/// [`crate::logical::ExecContext`].
-#[derive(Debug, Clone)]
-pub struct PlanMetrics {
-    /// Planned queries executed.
-    pub plans: Arc<Counter>,
-    /// Column chunks decompressed and decoded by planned scans.
-    pub chunks_read: Arc<Counter>,
-    /// Column chunks skipped by stats or index pruning.
-    pub chunks_pruned: Arc<Counter>,
-    /// Pushed predicates answered by a secondary index.
-    pub index_hits: Arc<Counter>,
-}
-
-impl PlanMetrics {
-    /// Register the planner metric families in `registry`.
-    pub fn new(registry: &Registry) -> Self {
-        Self {
-            plans: registry.counter(
-                "query_plans_executed_total",
-                "Logical query plans executed",
-                &[],
-            ),
-            chunks_read: registry.counter(
-                "query_chunks_read_total",
-                "Column chunks decoded by planned scans",
-                &[],
-            ),
-            chunks_pruned: registry.counter(
-                "query_chunks_pruned_total",
-                "Column chunks skipped by stats or index pruning",
-                &[],
-            ),
-            index_hits: registry.counter(
-                "query_index_hits_total",
-                "Pushed predicates answered by a secondary index",
-                &[],
-            ),
-        }
-    }
-
-    /// Record one executed plan's pruning statistics.
-    pub fn record(&self, stats: &crate::logical::ExecStats) {
-        self.plans.inc();
-        self.chunks_read.add(stats.chunks_read);
-        self.chunks_pruned.add(stats.chunks_pruned);
-        self.index_hits.add(stats.index_hits);
     }
 }
 

@@ -23,7 +23,7 @@ use crate::frame_io::frame_digest;
 use crate::metrics::PipelineMetrics;
 use crate::state::StateStore;
 use oda_faults::{FaultKind, FaultPoint, FaultSite};
-use oda_obs::{trace_id, trace_span, LineageNode, Registry, TraceEventKind, Tracer};
+use oda_obs::{trace_id, trace_span, LineageNode, Registry, TraceEventKind, TraceSpanId, Tracer};
 use oda_stream::{Consumer, Record};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,7 +135,6 @@ pub struct StreamingQueryBuilder {
     workers: Option<usize>,
     faults: Vec<Arc<dyn FaultPoint>>,
     metrics: Option<PipelineMetrics>,
-    tracer: Option<Tracer>,
     trace_name: Option<String>,
 }
 
@@ -199,22 +198,15 @@ impl StreamingQueryBuilder {
     }
 
     /// Register engine metrics (epoch/record counters, per-stage latency
-    /// histograms) in `registry`. Metrics are a read-only tap: they never
-    /// change what the query computes.
+    /// histograms) in `registry`. When the registry carries a tracer,
+    /// also record structured trace spans (epoch → partition → stage
+    /// tail) and Bronze→Silver lineage edges in it: events are emitted
+    /// serially after the checkpoint commits, from the same stopwatch
+    /// reads the `pipeline_stage_duration_ns` histogram observes, so
+    /// traces and metrics never disagree on a stage's duration. Both are
+    /// a read-only tap: they never change what the query computes.
     pub fn metrics(mut self, registry: &Registry) -> Self {
         self.metrics = Some(PipelineMetrics::new(registry));
-        self
-    }
-
-    /// Record structured trace spans (epoch → partition → stage tail)
-    /// and Bronze→Silver lineage edges in `tracer`. Like metrics,
-    /// tracing is a read-only tap: events are emitted serially after
-    /// the checkpoint commits, from the same stopwatch reads the
-    /// `pipeline_stage_duration_ns` histogram observes, so traces and
-    /// metrics never disagree on a stage's duration — and they never
-    /// change what the query computes.
-    pub fn tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
         self
     }
 
@@ -269,7 +261,6 @@ impl StreamingQueryBuilder {
             workers,
             faults: self.faults,
             metrics: self.metrics,
-            tracer: self.tracer,
             trace_name: self.trace_name.unwrap_or_else(|| "query".into()),
             last_meta: None,
         })
@@ -293,7 +284,6 @@ pub struct StreamingQuery {
     /// exactly-once vulnerable window).
     faults: Vec<Arc<dyn FaultPoint>>,
     metrics: Option<PipelineMetrics>,
-    tracer: Option<Tracer>,
     trace_name: String,
     last_meta: Option<EpochMeta>,
 }
@@ -338,6 +328,11 @@ impl StreamingQuery {
     /// includes `sink_ns` and `checkpoint_ns`.
     pub fn last_meta(&self) -> Option<&EpochMeta> {
         self.last_meta.as_ref()
+    }
+
+    /// The tracer the attached registry carries, if any.
+    fn tracer(&self) -> Option<&Tracer> {
+        self.metrics.as_ref()?.tracer.as_ref()
     }
 
     /// Process one micro-batch. Returns records consumed (0 = caught up).
@@ -386,7 +381,7 @@ impl StreamingQuery {
         }
         let input = merge_partition_outputs(&outputs)?;
         let rows_in = input.rows();
-        let tracing = self.tracer.is_some() && oda_obs::enabled();
+        let tracing = self.tracer().is_some() && oda_obs::enabled();
         let bronze_digest = if tracing { frame_digest(&input)? } else { 0 };
         let sw = oda_obs::Stopwatch::start();
         let output = (self.transform)(input, &mut self.state)?;
@@ -446,17 +441,20 @@ impl StreamingQuery {
         bronze_digest: u64,
         silver_digest: u64,
     ) {
-        let Some(tr) = &self.tracer else { return };
+        let Some(tr) = self.tracer() else { return };
         let epoch = meta.epoch;
         let trace = trace_id(&self.trace_name, epoch);
+        // Every span of the epoch: site = ctx, scope = the epoch.
+        let span = |stage: &str, ctx: u64, parent: Option<TraceSpanId>, dur_ns: u64, kind| {
+            let id = trace_span(trace, stage, ctx);
+            tr.record(trace, id, parent, epoch, ctx, dur_ns, kind);
+            id
+        };
         let t = &meta.timings;
-        let root = trace_span(trace, "epoch", epoch);
-        tr.record(
-            trace,
-            root,
+        let root = span(
+            "epoch",
+            epoch,
             None,
-            epoch,
-            epoch,
             t.fetch_ns + t.decode_ns + t.transform_ns + t.sink_ns + t.checkpoint_ns,
             TraceEventKind::Epoch {
                 records: meta.records as u64,
@@ -474,13 +472,10 @@ impl StreamingQuery {
         };
         for o in outputs {
             let pctx = o.partition as u64;
-            let pspan = trace_span(trace, "partition", pctx);
-            tr.record(
-                trace,
-                pspan,
-                Some(root),
-                epoch,
+            let pspan = span(
+                "partition",
                 pctx,
+                Some(root),
                 o.fetch_ns + o.decode_ns,
                 TraceEventKind::Partition {
                     partition: pctx,
@@ -488,12 +483,10 @@ impl StreamingQuery {
                 },
             );
             let from = starts.get(&o.partition).copied().unwrap_or(0);
-            tr.record(
-                trace,
-                trace_span(trace, "fetch", pctx),
-                Some(pspan),
-                epoch,
+            span(
+                "fetch",
                 pctx,
+                Some(pspan),
                 o.fetch_ns,
                 TraceEventKind::PartitionFetch {
                     topic: topic.clone(),
@@ -503,12 +496,10 @@ impl StreamingQuery {
                     records: o.records as u64,
                 },
             );
-            tr.record(
-                trace,
-                trace_span(trace, "decode", pctx),
-                Some(pspan),
-                epoch,
+            span(
+                "decode",
                 pctx,
+                Some(pspan),
                 o.decode_ns,
                 TraceEventKind::PartitionDecode {
                     partition: pctx,
@@ -528,45 +519,20 @@ impl StreamingQuery {
                 );
             }
         }
-        tr.record(
-            trace,
-            trace_span(trace, "transform", epoch),
-            Some(root),
-            epoch,
-            epoch,
-            t.transform_ns,
-            TraceEventKind::Transform {
-                rows_in: rows_in as u64,
-                rows_out: rows_out as u64,
-            },
-        );
-        tr.record(
-            trace,
-            trace_span(trace, "sink", epoch),
-            Some(root),
-            epoch,
-            epoch,
-            t.sink_ns,
-            TraceEventKind::SinkWrite {
-                rows: rows_out as u64,
-            },
-        );
-        tr.record(
-            trace,
-            trace_span(trace, "checkpoint", epoch),
-            Some(root),
-            epoch,
-            epoch,
-            t.checkpoint_ns,
-            TraceEventKind::Checkpoint { epoch },
-        );
+        let (rows_in, rows_out) = (rows_in as u64, rows_out as u64);
+        let transform = TraceEventKind::Transform { rows_in, rows_out };
+        span("transform", epoch, Some(root), t.transform_ns, transform);
+        let sink = TraceEventKind::SinkWrite { rows: rows_out };
+        span("sink", epoch, Some(root), t.sink_ns, sink);
+        let checkpoint = TraceEventKind::Checkpoint { epoch };
+        span("checkpoint", epoch, Some(root), t.checkpoint_ns, checkpoint);
         tr.lineage().link(
             bronze,
             LineageNode::Frame {
                 stage: "silver".into(),
                 epoch,
                 digest: silver_digest,
-                rows: rows_out as u64,
+                rows: rows_out,
             },
             "transform",
         );

@@ -19,8 +19,8 @@
 //! # Determinism
 //!
 //! The server is strictly a *reader*: every handler renders existing
-//! state ([`Endpoints`] holds clones of `Arc`-backed registries,
-//! tracers, and the health engine) and nothing on a request path
+//! state ([`Endpoints`] holds clones of the `Arc`-backed observer
+//! registry — with the tracer it carries — and the health engine) and nothing on a request path
 //! writes back, draws randomness, or advances the health engine's
 //! logical clock. The chaos suite runs its scrape storm against a live
 //! pipeline and asserts Gold output stays byte-identical — same bar as
@@ -28,12 +28,15 @@
 //!
 //! # Threading model
 //!
-//! One non-blocking accept thread plus a short-lived thread per
+//! One accept thread blocked in `accept` (no polling: a scrape is
+//! picked up as soon as it connects) plus a short-lived thread per
 //! connection, bounded by [`ServerConfig::max_connections`] (over
 //! budget → immediate 503, never queueing into the data plane), with
-//! per-socket read timeouts and graceful [`ServerHandle::shutdown`].
-//! Requests are single-shot (`Connection: close`), which is exactly
-//! the scrape/curl traffic shape this plane exists for.
+//! per-socket read timeouts and graceful [`ServerHandle::shutdown`],
+//! which wakes the accept thread with one loopback connect and drains
+//! in-flight connections for a bounded time. Requests are single-shot
+//! (`Connection: close`), which is exactly the scrape/curl traffic
+//! shape this plane exists for.
 
 pub mod http;
 pub mod router;

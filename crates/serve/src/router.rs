@@ -1,10 +1,10 @@
 //! The endpoint table: which observability surfaces this server
 //! exposes, and how a parsed request maps onto them.
 //!
-//! [`Endpoints`] is a grab-bag of optional attachments — registry,
-//! health engine, tracer (and its lineage), alert/bench providers — so
-//! a caller wires up exactly the surfaces its process owns and
-//! everything else 404s. Every handler is a *read-only* view over an
+//! [`Endpoints`] is a grab-bag of optional attachments — the observer
+//! registry (and the tracer and lineage it carries), health engine,
+//! alert/bench providers — so a caller wires up exactly the surfaces
+//! its process owns and everything else 404s. Every handler is a *read-only* view over an
 //! existing API: routing never writes to the registry, never advances
 //! health-engine ticks, and never mutates the journal, which is what
 //! keeps N concurrent scrapers incapable of perturbing chaos
@@ -13,8 +13,8 @@
 use std::sync::{Arc, Mutex};
 
 use oda_obs::{
-    critical_path, export_jsonl, render_health_json, HealthEngine, LineageNode, Registry, Tracer,
-    Verdict,
+    critical_path, esc_into, export_jsonl, render_health_json, HealthEngine, LineageNode, Registry,
+    Tracer, Verdict,
 };
 
 use crate::http::{
@@ -31,7 +31,6 @@ pub type Provider = Arc<dyn Fn() -> String + Send + Sync>;
 pub struct Endpoints {
     registry: Option<Registry>,
     health: Option<Arc<Mutex<HealthEngine>>>,
-    tracer: Option<Tracer>,
     alerts: Option<Provider>,
     bench: Option<Provider>,
 }
@@ -41,7 +40,7 @@ impl std::fmt::Debug for Endpoints {
         f.debug_struct("Endpoints")
             .field("metrics", &self.registry.is_some())
             .field("healthz", &self.health.is_some())
-            .field("trace", &self.tracer.is_some())
+            .field("trace", &self.tracer().is_some())
             .field("alerts", &self.alerts.is_some())
             .field("bench", &self.bench.is_some())
             .finish()
@@ -54,10 +53,17 @@ impl Endpoints {
         Self::default()
     }
 
-    /// Serve `GET /metrics` from `registry`.
+    /// Serve `GET /metrics` from `registry`. When the registry carries
+    /// a tracer, also serve `GET /trace/*` from its journal and
+    /// `GET /lineage/digest/<d>` from its lineage graph.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.registry = Some(registry.clone());
         self
+    }
+
+    /// The tracer the attached registry carries, if any.
+    fn tracer(&self) -> Option<&Tracer> {
+        self.registry.as_ref()?.tracer()
     }
 
     /// Serve `GET /healthz` from `engine`'s last report.
@@ -67,13 +73,6 @@ impl Endpoints {
     /// advance logical time.
     pub fn with_health(mut self, engine: Arc<Mutex<HealthEngine>>) -> Self {
         self.health = Some(engine);
-        self
-    }
-
-    /// Serve `GET /trace/*` from `tracer`'s journal and
-    /// `GET /lineage/digest/<d>` from its lineage graph.
-    pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
-        self.tracer = Some(tracer.clone());
         self
     }
 
@@ -118,7 +117,7 @@ impl Endpoints {
                 }
                 None => Response::not_found("no health engine attached"),
             },
-            "/trace/spans" => match &self.tracer {
+            "/trace/spans" => match self.tracer() {
                 Some(tracer) => Response::ok(CONTENT_TYPE_JSONL, export_jsonl(&tracer.events())),
                 None => Response::not_found("no tracer attached"),
             },
@@ -144,7 +143,7 @@ impl Endpoints {
     /// `/trace/critical-path?query=<name>&epoch=<n>` — the heaviest
     /// chain of the epoch's span tree, as JSONL trace events.
     fn critical_path(&self, req: &Request) -> Response {
-        let Some(tracer) = &self.tracer else {
+        let Some(tracer) = self.tracer() else {
             return Response::not_found("no tracer attached");
         };
         let Some(query) = req.query_param("query") else {
@@ -165,7 +164,7 @@ impl Endpoints {
     /// or without `0x`, or decimal) plus its ancestor and descendant
     /// closures.
     fn lineage_digest(&self, raw: &str) -> Response {
-        let Some(tracer) = &self.tracer else {
+        let Some(tracer) = self.tracer() else {
             return Response::not_found("no tracer attached");
         };
         let stripped = raw.strip_prefix("0x").unwrap_or(raw);
@@ -183,7 +182,9 @@ impl Endpoints {
         let mut body = String::with_capacity(512);
         body.push_str("{\n");
         body.push_str(&format!("  \"digest\": \"{digest:016x}\",\n"));
-        body.push_str(&format!("  \"node\": {},\n", json_str(&node.label())));
+        body.push_str("  \"node\": \"");
+        esc_into(&node.label(), &mut body);
+        body.push_str("\",\n");
         push_walk(&mut body, "ancestors", &query.ancestors_of_digest(digest));
         body.push_str(",\n");
         push_walk(&mut body, "descendants", &query.descendants_of(id));
@@ -206,15 +207,15 @@ impl Endpoints {
             ),
             (
                 "/trace/spans          trace journal (JSONL)",
-                self.tracer.is_some(),
+                self.tracer().is_some(),
             ),
             (
                 "/trace/critical-path  ?query=<name>&epoch=<n> (JSONL)",
-                self.tracer.is_some(),
+                self.tracer().is_some(),
             ),
             (
                 "/lineage/digest/<d>   ancestors/descendants of a digest",
-                self.tracer.is_some(),
+                self.tracer().is_some(),
             ),
             (
                 "/alerts               online-detector alerts (JSONL)",
@@ -244,34 +245,15 @@ fn push_walk(out: &mut String, key: &str, walk: &[(u32, oda_obs::LineageNodeId, 
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "\n    {{ \"depth\": {depth}, \"label\": {} }}",
-            json_str(&node.label())
-        ));
+        out.push_str(&format!("\n    {{ \"depth\": {depth}, \"label\": \""));
+        esc_into(&node.label(), out);
+        out.push_str("\" }");
     }
     if walk.is_empty() {
         out.push(']');
     } else {
         out.push_str("\n  ]");
     }
-}
-
-/// A JSON string literal with conservative escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -372,7 +354,7 @@ mod tests {
             rows: 4,
         };
         tracer.link(bronze, frame, "refine");
-        let e = Endpoints::new().with_tracer(&tracer);
+        let e = Endpoints::new().with_registry(&Registry::new().with_tracer(&tracer));
         if oda_obs::enabled() {
             let resp = e.route(&get("/lineage/digest/abcd"));
             assert_eq!(resp.status, 200, "{}", resp.body);
@@ -388,7 +370,7 @@ mod tests {
     #[test]
     fn critical_path_requires_params() {
         let tracer = Tracer::new();
-        let e = Endpoints::new().with_tracer(&tracer);
+        let e = Endpoints::new().with_registry(&Registry::new().with_tracer(&tracer));
         assert_eq!(e.route(&get("/trace/critical-path")).status, 400);
         assert_eq!(e.route(&get("/trace/critical-path?query=gold")).status, 400);
         assert_eq!(

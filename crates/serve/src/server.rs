@@ -1,17 +1,19 @@
 //! The listener: a std-only, thread-per-connection HTTP server with a
 //! bounded connection budget, read timeouts, and graceful shutdown.
 //!
-//! No async runtime, no dependencies: a non-blocking `TcpListener`
-//! accept loop on one thread, one short-lived worker thread per
-//! accepted connection (scrape requests are single-round-trip and
-//! `Connection: close`, so threads live milliseconds). The connection
-//! budget sheds load with an immediate 503 instead of queueing —
-//! a stalled dashboard must never back-pressure into the data plane —
-//! and per-socket read timeouts bound how long a slow-loris client can
-//! pin a thread.
+//! No async runtime, no dependencies: a blocking `TcpListener` accept
+//! loop on one thread, one short-lived worker thread per accepted
+//! connection (scrape requests are single-round-trip and
+//! `Connection: close`, so threads live milliseconds). The accept
+//! thread sleeps in `accept` until a client arrives, so a scrape is
+//! picked up the moment it connects; [`ServerHandle::shutdown`] wakes it
+//! with one loopback connect. The connection budget sheds load with an
+//! immediate 503 instead of queueing — a stalled dashboard must never
+//! back-pressure into the data plane — and per-socket read timeouts
+//! bound how long a slow-loris client can pin a thread.
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -27,8 +29,6 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Per-socket read timeout (bounds a stalled request).
     pub read_timeout: Duration,
-    /// Accept-loop poll interval while idle or draining.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -36,7 +36,6 @@ impl Default for ServerConfig {
         Self {
             max_connections: 64,
             read_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(2),
         }
     }
 }
@@ -63,6 +62,18 @@ impl ServerHandle {
     /// drain, and join the accept thread.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Wake the accept thread blocked in `accept`: it sees `stop` on
+        // the next connection and exits. An unspecified bind address is
+        // reachable over loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -83,7 +94,6 @@ pub fn serve<A: ToSocketAddrs>(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
@@ -111,37 +121,31 @@ fn accept_loop(
     stop: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if active.load(Ordering::SeqCst) >= config.max_connections {
-                    // Shed immediately: a busy operator plane answers
-                    // "try later", it never queues into the data plane.
-                    shed(stream);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                let endpoints = endpoints.clone();
-                let worker_active = Arc::clone(&active);
-                let read_timeout = config.read_timeout;
-                let spawned = std::thread::Builder::new()
-                    .name("oda-serve-conn".into())
-                    .spawn(move || {
-                        handle_connection(stream, &endpoints, read_timeout);
-                        worker_active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll_interval);
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. aborted handshake):
-                // keep serving.
-                std::thread::sleep(config.poll_interval);
-            }
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // Transient accept errors (e.g. an aborted handshake): keep
+        // serving.
+        let Ok(stream) = stream else { continue };
+        if active.load(Ordering::SeqCst) >= config.max_connections {
+            // Shed immediately: a busy operator plane answers "try
+            // later", it never queues into the data plane.
+            shed(stream);
+            continue;
+        }
+        active.fetch_add(1, Ordering::SeqCst);
+        let endpoints = endpoints.clone();
+        let worker_active = Arc::clone(&active);
+        let read_timeout = config.read_timeout;
+        let spawned = std::thread::Builder::new()
+            .name("oda-serve-conn".into())
+            .spawn(move || {
+                handle_connection(stream, &endpoints, read_timeout);
+                worker_active.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            active.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -240,6 +244,33 @@ mod tests {
                 assert_ne!(s.read(&mut buf).ok(), Some(1), "accept loop still alive");
             }
         }
+    }
+
+    #[test]
+    fn idle_shutdown_is_prompt_and_first_scrape_is_served() {
+        let reg = oda_obs::Registry::new();
+        reg.counter("first_total", "first scrape", &[]).inc();
+        let handle = serve(
+            Endpoints::new().with_registry(&reg),
+            "127.0.0.1:0",
+            ServerConfig::default(),
+        )
+        .unwrap();
+        // A scrape sent the moment `serve` returns is accepted and
+        // answered: the listener is bound before the handle exists.
+        let (status, _, body) = fetch(handle.addr(), "/metrics");
+        assert_eq!(status, 200);
+        assert!(body.contains("first_total"));
+        // An idle server blocked in `accept` is woken, not polled.
+        let idle = serve(Endpoints::new(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let start = std::time::Instant::now();
+        idle.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "idle shutdown took {:?}",
+            start.elapsed()
+        );
+        handle.shutdown();
     }
 
     #[test]

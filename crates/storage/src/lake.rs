@@ -7,7 +7,7 @@
 //! segments and retention drops whole segments.
 
 use crate::metrics::LakeMetrics;
-use oda_obs::{trace_id, trace_span, Registry, TraceEventKind, Tracer, SERVICE_TRACE};
+use oda_obs::{Registry, TraceEventKind};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 
@@ -34,7 +34,6 @@ pub struct Lake {
     segment_ms: i64,
     retention_ms: i64,
     metrics: RwLock<Option<LakeMetrics>>,
-    tracer: RwLock<Option<Tracer>>,
 }
 
 impl Lake {
@@ -52,39 +51,35 @@ impl Lake {
             segment_ms,
             retention_ms,
             metrics: RwLock::new(None),
-            tracer: RwLock::new(None),
         }
     }
 
-    /// Count inserted/retained points and retention drops in `registry`.
+    /// Count inserted/retained points and retention drops in `registry`
+    /// and, when it carries a tracer, record `lake_insert` trace events
+    /// (series, point count) into it. Observational only.
     pub fn attach_metrics(&self, registry: &Registry) {
         let m = LakeMetrics::new(registry);
         m.points.set(self.len() as i64);
         *self.metrics.write() = Some(m);
     }
 
-    /// Record `lake_insert` trace events (series, point count) into
-    /// `tracer`'s journal. Observational only.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        *self.tracer.write() = Some(tracer.clone());
-    }
-
     fn record_insert(&self, series: &str, points: u64) {
-        if let Some(tr) = self.tracer.read().as_ref() {
-            let trace = trace_id("lake", SERVICE_TRACE);
-            let ctx = oda_obs::fnv1a(series.as_bytes());
-            tr.record(
-                trace,
-                trace_span(trace, "insert", ctx),
-                None,
-                0,
-                ctx,
-                0,
-                TraceEventKind::LakeInsert {
-                    series: series.to_string(),
-                    points,
-                },
-            );
+        if let Some(m) = self.metrics.read().as_ref() {
+            m.inserted.add(points);
+            m.points.add(points as i64);
+            if let Some(tr) = &m.tracer {
+                let ctx = oda_obs::fnv1a(series.as_bytes());
+                tr.service_event(
+                    "lake",
+                    "insert",
+                    ctx,
+                    ctx,
+                    TraceEventKind::LakeInsert {
+                        series: series.to_string(),
+                        points,
+                    },
+                );
+            }
         }
     }
 
@@ -103,10 +98,6 @@ impl Lake {
             .push(Point { ts_ms, value });
         seg.points += 1;
         drop(segs);
-        if let Some(m) = self.metrics.read().as_ref() {
-            m.inserted.inc();
-            m.points.add(1);
-        }
         self.record_insert(series, 1);
     }
 
@@ -120,10 +111,6 @@ impl Lake {
             seg.points += 1;
         }
         drop(segs);
-        if let Some(m) = self.metrics.read().as_ref() {
-            m.inserted.add(points.len() as u64);
-            m.points.add(points.len() as i64);
-        }
         self.record_insert(series, points.len() as u64);
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use oda_obs::{Counter, Gauge, Registry};
+use oda_obs::{Counter, Gauge, Registry, Tracer};
 
 use crate::tiering::{LifecycleAction, Tier, TierManager};
 
@@ -16,6 +16,8 @@ pub struct TierMetrics {
     archived: Arc<Counter>,
     archived_bytes: Arc<Counter>,
     migrate_failed: Arc<Counter>,
+    /// The tracer the registry carried, if any.
+    pub(crate) tracer: Option<Tracer>,
 }
 
 impl TierMetrics {
@@ -49,6 +51,7 @@ impl TierMetrics {
             archived: action("archived"),
             archived_bytes: action_bytes("archived"),
             migrate_failed: action("migrate-failed"),
+            tracer: registry.tracer().cloned(),
         }
     }
 
@@ -136,6 +139,8 @@ pub struct OceanMetrics {
     pub get_bytes: Arc<Counter>,
     /// Objects currently stored.
     pub objects: Arc<Gauge>,
+    /// The tracer the registry carried, if any.
+    pub(crate) tracer: Option<Tracer>,
 }
 
 impl OceanMetrics {
@@ -167,6 +172,7 @@ impl OceanMetrics {
                 "Objects currently stored across all buckets",
                 &[],
             ),
+            tracer: registry.tracer().cloned(),
         }
     }
 }
@@ -180,6 +186,8 @@ pub struct LakeMetrics {
     pub retention_dropped: Arc<Counter>,
     /// Points currently retained.
     pub points: Arc<Gauge>,
+    /// The tracer the registry carried, if any.
+    pub(crate) tracer: Option<Tracer>,
 }
 
 impl LakeMetrics {
@@ -201,6 +209,7 @@ impl LakeMetrics {
                 "Points currently retained in the LAKE store",
                 &[],
             ),
+            tracer: registry.tracer().cloned(),
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::colfile::{ColumnData, TableFile, TableSchema};
 use crate::error::StorageError;
 use crate::metrics::OceanMetrics;
 use bytes::Bytes;
-use oda_obs::{trace_id, trace_span, Registry, TraceEventKind, Tracer, SERVICE_TRACE};
+use oda_obs::{Registry, TraceEventKind};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,7 +20,6 @@ use std::sync::Arc;
 pub struct Ocean {
     buckets: RwLock<BTreeMap<String, BTreeMap<String, Bytes>>>,
     metrics: RwLock<Option<OceanMetrics>>,
-    tracer: RwLock<Option<Tracer>>,
 }
 
 impl Ocean {
@@ -29,7 +28,9 @@ impl Ocean {
         Arc::new(Ocean::default())
     }
 
-    /// Count object read/write volume in `registry`.
+    /// Count object read/write volume in `registry` and, when it carries
+    /// a tracer, record `ocean_put`/`ocean_get` trace events (bucket,
+    /// key, bytes) into it. Observational only.
     pub fn attach_metrics(&self, registry: &Registry) {
         let m = OceanMetrics::new(registry);
         m.objects.set(
@@ -42,31 +43,16 @@ impl Ocean {
         *self.metrics.write() = Some(m);
     }
 
-    /// Record `ocean_put`/`ocean_get` trace events (bucket, key, bytes)
-    /// into `tracer`'s journal. Observational only.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        *self.tracer.write() = Some(tracer.clone());
-    }
-
-    fn record_io(&self, op: &str, bucket: &str, key: &str, bytes: u64) {
-        if let Some(tr) = self.tracer.read().as_ref() {
-            let trace = trace_id("ocean", SERVICE_TRACE);
-            let ctx = oda_obs::fnv1a(format!("{bucket}/{key}").as_bytes());
-            let kind = if op == "put" {
-                TraceEventKind::OceanPut {
-                    bucket: bucket.to_string(),
-                    key: key.to_string(),
-                    bytes,
-                }
-            } else {
-                TraceEventKind::OceanGet {
-                    bucket: bucket.to_string(),
-                    key: key.to_string(),
-                    bytes,
-                }
-            };
-            tr.record(trace, trace_span(trace, op, ctx), None, 0, ctx, 0, kind);
-        }
+    fn record_io(m: &OceanMetrics, op: &str, bucket: &str, key: &str, bytes: u64) {
+        let Some(tr) = &m.tracer else { return };
+        let ctx = oda_obs::fnv1a(format!("{bucket}/{key}").as_bytes());
+        let (bucket, key) = (bucket.to_string(), key.to_string());
+        let kind = if op == "put" {
+            TraceEventKind::OceanPut { bucket, key, bytes }
+        } else {
+            TraceEventKind::OceanGet { bucket, key, bytes }
+        };
+        tr.service_event("ocean", op, ctx, ctx, kind);
     }
 
     /// Create a bucket (idempotent).
@@ -89,8 +75,8 @@ impl Ocean {
             if fresh {
                 m.objects.add(1);
             }
+            Self::record_io(m, "put", bucket, key, size);
         }
-        self.record_io("put", bucket, key, size);
         Ok(())
     }
 
@@ -105,8 +91,8 @@ impl Ocean {
         if let Some(m) = self.metrics.read().as_ref() {
             m.get_objects.inc();
             m.get_bytes.add(out.len() as u64);
+            Self::record_io(m, "get", bucket, key, out.len() as u64);
         }
-        self.record_io("get", bucket, key, out.len() as u64);
         Ok(out)
     }
 

@@ -9,7 +9,7 @@
 
 use crate::metrics::TierMetrics;
 use oda_faults::{FaultPoint, FaultSite};
-use oda_obs::{trace_id, trace_span, LineageNode, Registry, TraceEventKind, Tracer, SERVICE_TRACE};
+use oda_obs::{LineageNode, Registry, TraceEventKind, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -138,11 +138,11 @@ pub struct TierManager {
     archive_ratio: f64,
     /// Armed fault plan, consulted on each OCEAN→GLACIER migration.
     faults: Option<Arc<dyn FaultPoint>>,
-    /// Attached metrics: occupancy gauges refreshed after `register` and
-    /// `advance`, lifecycle counters fed from each pass's actions.
+    /// Attached observer: occupancy gauges refreshed after `register`
+    /// and `advance`, lifecycle counters fed from each pass's actions,
+    /// and (when the registry carries a tracer) lifecycle trace events
+    /// plus placement lineage.
     metrics: Option<TierMetrics>,
-    /// Attached tracer: lifecycle trace events plus placement lineage.
-    tracer: Option<Tracer>,
 }
 
 impl TierManager {
@@ -153,11 +153,14 @@ impl TierManager {
             archive_ratio: 0.5,
             faults: None,
             metrics: None,
-            tracer: None,
         }
     }
 
-    /// Track tier occupancy and lifecycle activity in `registry`.
+    /// Track tier occupancy and lifecycle activity in `registry`. When
+    /// the registry carries a tracer, also record `lifecycle` trace
+    /// events for every action `advance` takes and placement nodes/edges
+    /// (artifact@tier, OCEAN→GLACIER archive hops) in its lineage graph.
+    /// Observational only.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         let m = TierMetrics::new(registry);
         m.record_occupancy(self);
@@ -169,13 +172,6 @@ impl TierManager {
     /// lifecycle pass picks it up again).
     pub fn arm_faults(&mut self, faults: Arc<dyn FaultPoint>) {
         self.faults = Some(faults);
-    }
-
-    /// Record `lifecycle` trace events for every action `advance` takes
-    /// and placement nodes/edges (artifact@tier, OCEAN→GLACIER archive
-    /// hops) in `tracer`'s lineage graph. Observational only.
-    pub fn attach_tracer(&mut self, tracer: &Tracer) {
-        self.tracer = Some(tracer.clone());
     }
 
     /// Register an artifact.
@@ -230,10 +226,9 @@ impl TierManager {
                 source: source.clone(),
             },
         );
-        if let Some(m) = &self.metrics {
-            m.record_occupancy(self);
-        }
-        if let Some(tr) = &self.tracer {
+        let Some(m) = &self.metrics else { return };
+        m.record_occupancy(self);
+        if let Some(tr) = &m.tracer {
             let placement = LineageNode::Placement {
                 artifact: name.to_string(),
                 tier: tier.label().to_string(),
@@ -318,9 +313,9 @@ impl TierManager {
         if let Some(m) = &self.metrics {
             m.record_actions(&actions);
             m.record_occupancy(self);
-        }
-        if let Some(tr) = &self.tracer {
-            self.trace_actions(tr, &actions);
+            if let Some(tr) = &m.tracer {
+                self.trace_actions(tr, &actions);
+            }
         }
         actions
     }
@@ -329,7 +324,6 @@ impl TierManager {
     /// in the lineage graph. Iterates `actions` in the order `advance`
     /// produced them (artifact-name order, so deterministic).
     fn trace_actions(&self, tr: &Tracer, actions: &[LifecycleAction]) {
-        let trace = trace_id("tiering", SERVICE_TRACE);
         for action in actions {
             let (name, verb, tier, bytes) = match action {
                 LifecycleAction::Expired { name, tier, bytes } => {
@@ -343,13 +337,11 @@ impl TierManager {
                 }
             };
             let ctx = oda_obs::fnv1a(name.as_bytes());
-            tr.record(
-                trace,
-                trace_span(trace, verb, ctx),
-                None,
-                0,
+            tr.service_event(
+                "tiering",
+                verb,
                 ctx,
-                0,
+                ctx,
                 TraceEventKind::Lifecycle {
                     artifact: name.clone(),
                     action: verb.to_string(),
@@ -549,7 +541,7 @@ mod tests {
         use oda_obs::Tracer;
         let mut m = TierManager::new();
         let tracer = Tracer::new();
-        m.attach_tracer(&tracer);
+        m.attach_metrics(&Registry::new().with_tracer(&tracer));
         m.register_replica(
             "raw-d0",
             DataClass::Bronze,

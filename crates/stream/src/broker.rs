@@ -40,9 +40,7 @@ use crate::retention::RetentionPolicy;
 use crate::topic::{ReplicaSet, Topic};
 use bytes::Bytes;
 use oda_faults::{FaultKind, FaultPoint, FaultSite, Retry};
-use oda_obs::{
-    fnv1a, trace_id, trace_span, LineageNode, Registry, TraceEventKind, Tracer, SERVICE_TRACE,
-};
+use oda_obs::{fnv1a, LineageNode, Registry, TraceEventKind};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -73,7 +71,6 @@ pub struct Broker {
     elections: Mutex<Vec<LeaderElection>>,
     faults: RwLock<Option<Arc<dyn FaultPoint>>>,
     metrics: RwLock<Option<Arc<StreamMetrics>>>,
-    tracer: RwLock<Option<Tracer>>,
 }
 
 impl Broker {
@@ -96,7 +93,6 @@ impl Broker {
             elections: Mutex::new(Vec::new()),
             faults: RwLock::new(None),
             metrics: RwLock::new(None),
-            tracer: RwLock::new(None),
         })
     }
 
@@ -134,28 +130,19 @@ impl Broker {
     }
 
     /// Count produce/fetch volume, retention drops, consumer and replica
-    /// lag, and leader elections in `registry`. Observational only —
-    /// armed metrics never change what the broker returns.
+    /// lag, and leader elections in `registry`. When the registry
+    /// carries a tracer, also record structured trace events (produce,
+    /// replica fetches, retention sweeps, ISR churn, elections) and
+    /// replica→offset-range lineage into it. Observational only —
+    /// attached observers never change what the broker returns.
     pub fn attach_metrics(&self, registry: &Registry) {
         *self.metrics.write() = Some(Arc::new(StreamMetrics::new(registry)));
     }
 
-    /// The attached metrics, if any (consumers record lag through this).
+    /// The attached observer, if any: consumers and producers record lag,
+    /// retries and retry trace events through it.
     pub fn metrics(&self) -> Option<Arc<StreamMetrics>> {
         self.metrics.read().clone()
-    }
-
-    /// Record structured trace events (produce, replica fetches,
-    /// retention sweeps, ISR churn, elections) and replica→offset-range
-    /// lineage into `tracer`. Observational only, like
-    /// [`Broker::attach_metrics`].
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        *self.tracer.write() = Some(tracer.clone());
-    }
-
-    /// The attached tracer, if any (consumers record retries through it).
-    pub fn tracer(&self) -> Option<Tracer> {
-        self.tracer.read().clone()
     }
 
     /// Create a topic, replicating each partition per
@@ -297,23 +284,20 @@ impl Broker {
             m.produce_records.inc();
             m.produce_bytes.add(size as u64);
             m.retained_bytes.add(size as i64);
-        }
-        if let Some(tr) = self.tracer.read().as_ref() {
-            let trace = trace_id(topic, SERVICE_TRACE);
-            tr.record(
-                trace,
-                trace_span(trace, "produce", u64::from(partition)),
-                None,
-                0,
-                u64::from(partition),
-                0,
-                TraceEventKind::Produce {
-                    topic: topic.to_string(),
-                    partition: u64::from(partition),
-                    offset,
-                    bytes: size as u64,
-                },
-            );
+            if let Some(tr) = m.tracer() {
+                tr.service_event(
+                    topic,
+                    "produce",
+                    u64::from(partition),
+                    u64::from(partition),
+                    TraceEventKind::Produce {
+                        topic: topic.to_string(),
+                        partition: u64::from(partition),
+                        offset,
+                        bytes: size as u64,
+                    },
+                );
+            }
         }
         Ok((partition, offset))
     }
@@ -542,22 +526,19 @@ impl Broker {
             // whole segments, so the produce-side running gauge can't
             // track it incrementally.
             m.retained_bytes.set(self.bytes() as i64);
-        }
-        if let Some(tr) = self.tracer.read().as_ref() {
-            for (topic, dropped) in &per_topic {
-                let trace = trace_id(topic, SERVICE_TRACE);
-                tr.record(
-                    trace,
-                    trace_span(trace, "retention", 0),
-                    None,
-                    0,
-                    0,
-                    0,
-                    TraceEventKind::RetentionSweep {
-                        topic: topic.clone(),
-                        dropped: *dropped,
-                    },
-                );
+            if let Some(tr) = m.tracer() {
+                for (topic, dropped) in &per_topic {
+                    tr.service_event(
+                        topic,
+                        "retention",
+                        0,
+                        0,
+                        TraceEventKind::RetentionSweep {
+                            topic: topic.clone(),
+                            dropped: *dropped,
+                        },
+                    );
+                }
             }
         }
         dropped
@@ -573,43 +554,39 @@ impl Broker {
     fn note_election(&self, e: &LeaderElection) {
         if let Some(m) = self.metrics.read().as_ref() {
             m.leader_elections.inc();
-        }
-        if let Some(tr) = self.tracer.read().as_ref() {
-            let trace = trace_id(&e.topic, SERVICE_TRACE);
-            tr.record(
-                trace,
-                trace_span(trace, "leader_elected", u64::from(e.partition)),
-                None,
-                0,
-                u64::from(e.partition),
-                0,
-                TraceEventKind::LeaderElected {
-                    topic: e.topic.clone(),
-                    partition: u64::from(e.partition),
-                    from_node: u64::from(e.from_node),
-                    to_node: u64::from(e.to_node),
-                },
-            );
+            if let Some(tr) = m.tracer() {
+                tr.service_event(
+                    &e.topic,
+                    "leader_elected",
+                    u64::from(e.partition),
+                    u64::from(e.partition),
+                    TraceEventKind::LeaderElected {
+                        topic: e.topic.clone(),
+                        partition: u64::from(e.partition),
+                        from_node: u64::from(e.from_node),
+                        to_node: u64::from(e.to_node),
+                    },
+                );
+            }
         }
     }
 
     fn note_isr_change(&self, topic: &str, partition: u32, node: u32, joined: bool) {
+        let metrics = self.metrics.read();
+        let Some(m) = metrics.as_ref() else {
+            return;
+        };
         if !joined {
-            if let Some(m) = self.metrics.read().as_ref() {
-                m.isr_shrinks.inc();
-            }
+            m.isr_shrinks.inc();
         }
-        if let Some(tr) = self.tracer.read().as_ref() {
-            let trace = trace_id(topic, SERVICE_TRACE);
+        if let Some(tr) = m.tracer() {
             // Distinct span site per (partition, node) pair.
             let site = u64::from(partition) * u64::from(self.nodes) + u64::from(node);
-            tr.record(
-                trace,
-                trace_span(trace, "isr_change", site),
-                None,
-                0,
+            tr.service_event(
+                topic,
+                "isr_change",
+                site,
                 u64::from(partition),
-                0,
                 TraceEventKind::IsrChange {
                     topic: topic.to_string(),
                     partition: u64::from(partition),
@@ -635,48 +612,47 @@ impl Broker {
         recs: &[Record],
         isr: bool,
     ) {
-        if let Some(m) = self.metrics.read().as_ref() {
-            m.fetch_records.add(recs.len() as u64);
-            m.fetch_bytes
-                .add(recs.iter().map(|r| r.byte_size() as u64).sum());
-        }
+        let metrics = self.metrics.read();
+        let Some(m) = metrics.as_ref() else {
+            return;
+        };
+        m.fetch_records.add(recs.len() as u64);
+        m.fetch_bytes
+            .add(recs.iter().map(|r| r.byte_size() as u64).sum());
         // Empty fetches ("caught up") carry no provenance — skip them.
-        let Some(last) = recs.last() else { return };
+        let (Some(tr), Some(last)) = (m.tracer(), recs.last()) else {
+            return;
+        };
         let to = last.offset + 1;
-        if let Some(tr) = self.tracer.read().as_ref() {
-            let trace = trace_id(topic, SERVICE_TRACE);
-            tr.record(
-                trace,
-                trace_span(trace, "replica_fetch", u64::from(partition)),
-                None,
-                0,
-                u64::from(partition),
-                0,
-                TraceEventKind::ReplicaFetch {
-                    topic: topic.to_string(),
-                    partition: u64::from(partition),
-                    node: u64::from(node),
-                    from,
-                    to,
-                    records: recs.len() as u64,
-                    isr,
-                },
-            );
-            tr.link(
-                LineageNode::Replica {
-                    topic: topic.to_string(),
-                    partition: u64::from(partition),
-                    node: u64::from(node),
-                },
-                LineageNode::OffsetRange {
-                    topic: topic.to_string(),
-                    partition: u64::from(partition),
-                    start: from,
-                    end: to,
-                },
-                if isr { "serve-isr" } else { "serve-stale" },
-            );
-        }
+        tr.service_event(
+            topic,
+            "replica_fetch",
+            u64::from(partition),
+            u64::from(partition),
+            TraceEventKind::ReplicaFetch {
+                topic: topic.to_string(),
+                partition: u64::from(partition),
+                node: u64::from(node),
+                from,
+                to,
+                records: recs.len() as u64,
+                isr,
+            },
+        );
+        tr.link(
+            LineageNode::Replica {
+                topic: topic.to_string(),
+                partition: u64::from(partition),
+                node: u64::from(node),
+            },
+            LineageNode::OffsetRange {
+                topic: topic.to_string(),
+                partition: u64::from(partition),
+                start: from,
+                end: to,
+            },
+            if isr { "serve-isr" } else { "serve-stale" },
+        );
     }
 }
 
@@ -722,25 +698,14 @@ impl Producer {
                 .produce(&self.topic, ts_ms, key.clone(), value.clone())
         });
         if let Some(m) = self.broker.metrics() {
-            m.produce_retry.observe(&outcome, res.is_ok());
-        }
-        if outcome.attempts > 1 || res.is_err() {
-            if let Some(tr) = self.broker.tracer() {
-                let trace = trace_id(&self.topic, SERVICE_TRACE);
-                tr.record(
-                    trace,
-                    trace_span(trace, "produce_retry", 0),
-                    None,
-                    0,
-                    0,
-                    0,
-                    TraceEventKind::Retry {
-                        op: "produce".to_string(),
-                        attempts: u64::from(outcome.attempts),
-                        gave_up: res.is_err(),
-                    },
-                );
-            }
+            m.record_retry(
+                &m.produce_retry,
+                &self.topic,
+                "produce",
+                0,
+                &outcome,
+                res.is_ok(),
+            );
         }
         res
     }
@@ -751,6 +716,7 @@ mod tests {
     use super::*;
     use crate::consumer::Consumer;
     use oda_faults::{FaultPlan, FaultSpec};
+    use oda_obs::Tracer;
     use std::collections::BTreeSet;
     use std::thread;
 
@@ -1306,7 +1272,7 @@ mod tests {
     fn fetch_provenance_distinguishes_isr_from_stale_reads() {
         let c = broker_with_topic(3, 3, 1);
         let tracer = Tracer::new();
-        c.attach_tracer(&tracer);
+        c.attach_metrics(&Registry::new().with_tracer(&tracer));
         seed(&c, 4);
         c.arm_faults(certain_lag());
         seed(&c, 2);
@@ -1334,7 +1300,7 @@ mod tests {
             .create_topic("t", 1, RetentionPolicy::unbounded())
             .unwrap();
         let tracer = Tracer::new();
-        single.attach_tracer(&tracer);
+        single.attach_metrics(&Registry::new().with_tracer(&tracer));
         seed(&single, 4);
         single.fetch("t", 0, 0, 2).unwrap();
         single.fetch("t", 0, 2, 10).unwrap();

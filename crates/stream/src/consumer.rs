@@ -116,29 +116,16 @@ impl Consumer {
             Some(policy) => {
                 let (res, outcome) =
                     policy.run(|_| self.broker.fetch(&self.topic, partition, from, max));
-                if outcome.attempts > 1 || res.is_err() {
-                    if let Some(m) = self.broker.metrics() {
-                        m.fetch_retry.observe(&outcome, res.is_ok());
-                    }
-                    // Retry content is deterministic (the fault schedule
-                    // is keyed by (site, partition, invocation)), so the
-                    // event is safe to record from worker threads.
-                    if let Some(tr) = self.broker.tracer() {
-                        let trace = oda_obs::trace_id(&self.topic, oda_obs::SERVICE_TRACE);
-                        tr.record(
-                            trace,
-                            oda_obs::trace_span(trace, "fetch_retry", u64::from(partition)),
-                            None,
-                            0,
-                            u64::from(partition),
-                            0,
-                            oda_obs::TraceEventKind::Retry {
-                                op: "fetch".to_string(),
-                                attempts: u64::from(outcome.attempts),
-                                gave_up: res.is_err(),
-                            },
-                        );
-                    }
+                if let Some(m) = self.broker.metrics() {
+                    let site = u64::from(partition);
+                    m.record_retry(
+                        &m.fetch_retry,
+                        &self.topic,
+                        "fetch",
+                        site,
+                        &outcome,
+                        res.is_ok(),
+                    );
                 }
                 res
             }

@@ -2,15 +2,16 @@
 //! retention drops, and per-partition consumer lag.
 //!
 //! Attached once via [`crate::Broker::attach_metrics`]; the hot paths
-//! then bump pre-resolved counters. Lag gauges are labeled
+//! then bump pre-resolved counters, and record trace events into the
+//! tracer the registry carries, if any. Lag gauges are labeled
 //! `{group, topic, partition}` and created on first touch, cached in a
 //! small map so steady-state polls don't hit the registry.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use oda_faults::RetryMetrics;
-use oda_obs::{Counter, Gauge, Registry};
+use oda_faults::{RetryMetrics, RetryOutcome};
+use oda_obs::{Counter, Gauge, Registry, TraceEventKind, Tracer};
 use parking_lot::Mutex;
 
 /// Cached instruments for the STREAM tier.
@@ -93,43 +94,79 @@ impl StreamMetrics {
         }
     }
 
+    /// The tracer the attached registry carries, if any.
+    pub(crate) fn tracer(&self) -> Option<&Tracer> {
+        self.registry.tracer()
+    }
+
+    /// Fold one finished retry loop of `op` (`produce`, `fetch`) on
+    /// `topic` into `retry` and, when the loop retried or gave up,
+    /// record a `Retry` trace event at span `{op}_retry`/`site`. The
+    /// event's content is deterministic (fault schedules key on
+    /// `(site, ctx, invocation)`), so worker threads may record it.
+    pub(crate) fn record_retry(
+        &self,
+        retry: &RetryMetrics,
+        topic: &str,
+        op: &str,
+        site: u64,
+        outcome: &RetryOutcome,
+        ok: bool,
+    ) {
+        if outcome.attempts == 1 && ok {
+            return;
+        }
+        retry.observe(outcome, ok);
+        if let Some(tr) = self.tracer() {
+            let kind = TraceEventKind::Retry {
+                op: op.to_string(),
+                attempts: u64::from(outcome.attempts),
+                gave_up: !ok,
+            };
+            tr.service_event(topic, &format!("{op}_retry"), site, site, kind);
+        }
+    }
+
     /// The lag gauge for `(group, topic, partition)`, creating and
     /// caching it on first use.
     pub fn lag_gauge(&self, group: &str, topic: &str, partition: u32) -> Arc<Gauge> {
         let key = (group.to_string(), topic.to_string(), partition);
-        let mut cache = self.lag.lock();
-        if let Some(g) = cache.get(&key) {
-            return Arc::clone(g);
-        }
-        let part = partition.to_string();
-        let g = self.registry.gauge(
-            "stream_consumer_lag",
-            "Records between a consumer's position and the log end",
-            &[("group", group), ("topic", topic), ("partition", &part)],
-        );
-        cache.insert(key, Arc::clone(&g));
-        g
+        cached(&self.lag, key, || {
+            let part = partition.to_string();
+            self.registry.gauge(
+                "stream_consumer_lag",
+                "Records between a consumer's position and the log end",
+                &[("group", group), ("topic", topic), ("partition", &part)],
+            )
+        })
     }
 
     /// The replica-lag gauge for `(topic, partition, node)`: records
     /// between a follower's log end and its leader's. Created and cached
     /// on first use, like [`StreamMetrics::lag_gauge`].
     pub fn replica_lag_gauge(&self, topic: &str, partition: u32, node: u32) -> Arc<Gauge> {
-        let key = (topic.to_string(), partition, node);
-        let mut cache = self.replica_lag.lock();
-        if let Some(g) = cache.get(&key) {
-            return Arc::clone(g);
-        }
-        let part = partition.to_string();
-        let node_s = node.to_string();
-        let g = self.registry.gauge(
-            "stream_replica_lag",
-            "Records between a follower replica's log end and its leader's",
-            &[("topic", topic), ("partition", &part), ("node", &node_s)],
-        );
-        cache.insert(key, Arc::clone(&g));
-        g
+        cached(
+            &self.replica_lag,
+            (topic.to_string(), partition, node),
+            || {
+                let (part, node) = (partition.to_string(), node.to_string());
+                self.registry.gauge(
+                    "stream_replica_lag",
+                    "Records between a follower replica's log end and its leader's",
+                    &[("topic", topic), ("partition", &part), ("node", &node)],
+                )
+            },
+        )
     }
+}
+
+/// The gauge cached under `key`, made on first use.
+fn cached<K: std::hash::Hash + Eq>(
+    cache: &Mutex<HashMap<K, Arc<Gauge>>>,
+    key: K,
+    make: impl FnOnce() -> Arc<Gauge>,
+) -> Arc<Gauge> {
+    Arc::clone(cache.lock().entry(key).or_insert_with(make))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use oda::faults::{FaultPlan, FaultPoint, FaultSite, FaultSpec};
-use oda::obs::{LineageNode, Tracer};
+use oda::obs::{LineageNode, Registry, Tracer};
 use oda::stream::{Broker, Consumer, RetentionPolicy};
 use oda::telemetry::record::Observation;
 use oda::telemetry::{SystemModel, TelemetryGenerator};
@@ -51,7 +51,7 @@ fn main() {
         .create_topic(TOPIC, PARTITIONS, RetentionPolicy::unbounded())
         .unwrap();
     let tracer = Tracer::new();
-    cluster.attach_tracer(&tracer);
+    cluster.attach_metrics(&Registry::new().with_tracer(&tracer));
     let plan = Arc::new(FaultPlan::new(
         SEED,
         FaultSpec {

@@ -63,8 +63,8 @@ fn fetch_body(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
 }
 
 fn main() {
-    let registry = Registry::new();
     let tracer = Tracer::new();
+    let registry = Registry::new().with_tracer(&tracer);
     let engine = Arc::new(Mutex::new(HealthEngine::with_defaults()));
     let live_alerts: Arc<Mutex<Vec<Alert>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -72,7 +72,6 @@ fn main() {
     let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
     let broker = Broker::new();
     broker.attach_metrics(&registry);
-    broker.attach_tracer(&tracer);
     broker
         .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
         .unwrap();
@@ -91,7 +90,6 @@ fn main() {
     let catalog = generator.catalog().clone();
     let plan = Arc::new(FaultPlan::chaos(11));
     plan.attach_metrics(&registry);
-    plan.attach_tracer(&tracer);
     broker.arm_faults(plan.clone() as Arc<dyn FaultPoint>);
 
     // --- The operator plane: every surface on one ephemeral port. ---
@@ -99,7 +97,6 @@ fn main() {
     let endpoints = Endpoints::new()
         .with_registry(&registry)
         .with_health(Arc::clone(&engine))
-        .with_tracer(&tracer)
         .with_alerts(Arc::new(move || alerts_jsonl(&alerts_view.lock().unwrap())))
         .with_bench(Arc::new(|| {
             std::fs::read_to_string("BENCHMARK.json").unwrap_or_else(|_| "{}\n".into())
@@ -168,7 +165,6 @@ fn main() {
             .max_records(5)
             .workers(8)
             .metrics(&registry)
-            .tracer(&tracer)
             .trace_name("serve")
             .faults(plan.clone() as Arc<dyn FaultPoint>)
             .build()

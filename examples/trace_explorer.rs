@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use oda::faults::{FaultClass, FaultPlan, FaultPoint, Retry, Retryable};
-use oda::obs::{critical_path, render_span_tree, LineageNode, Tracer};
+use oda::obs::{critical_path, render_span_tree, LineageNode, Registry, Tracer};
 use oda::pipeline::checkpoint::CheckpointStore;
 use oda::pipeline::frame_io::{append_frame, frame_digest};
 use oda::pipeline::medallion::{observation_decoder, streaming_silver_transform};
@@ -35,6 +35,7 @@ const QUERY: &str = "medallion";
 
 fn main() {
     let tracer = Tracer::new();
+    let registry = Registry::new().with_tracer(&tracer);
     println!(
         "trace collection: {}",
         if oda::obs::enabled() {
@@ -47,7 +48,7 @@ fn main() {
     // --- Telemetry → STREAM, traced, under a chaos fault plan. ---
     let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
     let broker = Broker::new();
-    broker.attach_tracer(&tracer);
+    broker.attach_metrics(&registry);
     broker
         .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
         .unwrap();
@@ -65,7 +66,7 @@ fn main() {
     }
     let catalog = generator.catalog().clone();
     let plan = Arc::new(FaultPlan::chaos(11));
-    plan.attach_tracer(&tracer);
+    plan.attach_metrics(&registry);
     broker.arm_faults(plan.clone() as Arc<dyn FaultPoint>);
 
     // --- Checkpointed Silver pipeline, crash/recovery supervised. ---
@@ -84,7 +85,7 @@ fn main() {
             .checkpoints(checkpoints.clone())
             .max_records(5)
             .workers(2)
-            .tracer(&tracer)
+            .metrics(&registry)
             .trace_name(QUERY)
             .faults(plan.clone() as Arc<dyn FaultPoint>)
             .build()
@@ -141,7 +142,7 @@ fn main() {
         );
     }
     let ocean = Ocean::new();
-    ocean.attach_tracer(&tracer);
+    ocean.attach_metrics(&registry);
     let dataset = OceanDataset::create(ocean, "warm", "gold-day", gold.schema()).unwrap();
     let part = append_frame(&dataset, &gold).unwrap();
     tracer.link(
@@ -153,7 +154,7 @@ fn main() {
         "persist",
     );
     let mut tiers = TierManager::new();
-    tiers.attach_tracer(&tracer);
+    tiers.attach_metrics(&registry);
     tiers.register(
         "gold-day",
         DataClass::Gold,

@@ -8,25 +8,19 @@
 //! fault-free run: no duplicated epoch, no lost epoch, identical row
 //! counts, identical Gold reduction, monotone checkpoint recovery.
 
-use bytes::Bytes;
-use oda::faults::{FaultClass, FaultPlan, FaultPoint, FaultSite, FaultSpec, Retry, Retryable};
+mod common;
+
+use common::TOPIC;
+use oda::faults::{FaultPlan, FaultPoint, FaultSite, FaultSpec};
+use oda::obs::{Registry, Tracer};
 use oda::pipeline::checkpoint::CheckpointStore;
 use oda::pipeline::frame_io::frame_to_colfile;
-use oda::pipeline::medallion::{observation_decoder, streaming_silver_transform};
-use oda::pipeline::ops::{group_by, Agg, AggSpec};
-use oda::pipeline::streaming::{MemorySink, Sink};
-use oda::pipeline::{Frame, StreamingQuery};
+use oda::pipeline::streaming::MemorySink;
 use oda::storage::tiering::{DataClass, LifecycleAction, Tier, TierManager};
-use oda::stream::{Broker, Consumer, RetentionPolicy};
-use oda::telemetry::record::Observation;
-use oda::telemetry::system::SystemModel;
-use oda::telemetry::{SensorCatalog, TelemetryGenerator};
+use oda::stream::Broker;
 use std::sync::Arc;
 
-const TOPIC: &str = "bronze";
 const BATCHES: usize = 80;
-const MAX_RECORDS: usize = 5;
-const MAX_RESTARTS: usize = 60;
 
 /// Produce the same synthetic telemetry stream into a fresh broker of
 /// `nodes` nodes replicating to `replication` of them (`(1, 1)` is
@@ -36,33 +30,18 @@ const MAX_RESTARTS: usize = 60;
 fn seeded(
     nodes: u32,
     replication: u32,
-    plan: Option<Arc<FaultPlan>>,
-    tracer: Option<&oda::obs::Tracer>,
-) -> (Arc<Broker>, SensorCatalog) {
-    let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
+    plan: Option<&Arc<FaultPlan>>,
+    registry: Option<&Registry>,
+) -> Arc<Broker> {
     let broker = Broker::replicated(nodes, replication);
-    broker
-        .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
-        .unwrap();
-    if let Some(p) = &plan {
+    if let Some(p) = plan {
         broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);
     }
-    if let Some(tr) = tracer {
-        broker.attach_tracer(tr);
+    if let Some(reg) = registry {
+        broker.attach_metrics(reg);
     }
-    for _ in 0..BATCHES {
-        let batch = generator.next_batch();
-        let payload = Observation::encode_batch(&batch.observations);
-        broker
-            .produce(
-                TOPIC,
-                batch.ts_ms,
-                Some(Bytes::from("all")),
-                Bytes::from(payload),
-            )
-            .unwrap();
-    }
-    (broker, generator.catalog().clone())
+    common::seed_broker(&broker, BATCHES);
+    broker
 }
 
 struct RunReport {
@@ -71,68 +50,26 @@ struct RunReport {
     restarts: usize,
 }
 
-/// Drive the query to completion under an optional fault plan,
-/// rebuilding it from the checkpoint store after every fatal fault —
-/// the crash/recovery loop a supervisor would run. `workers` sizes the
-/// partition-stage pool; output must not depend on it. With `metrics`
-/// and/or `tracer`, the whole path is instrumented (broker, fault
-/// plan, query) — which must not change a single output byte.
+/// Drive the query to completion under an optional fault plan through
+/// the shared supervisor loop. `workers` sizes the partition-stage
+/// pool; output must not depend on it. With `registry`, the whole path
+/// is observed (broker, fault plan, query; traced too when the registry
+/// carries a tracer) — which must not change a single output byte.
 fn run_instrumented(
     plan: Option<Arc<FaultPlan>>,
     workers: usize,
-    metrics: Option<&oda::obs::Registry>,
-    tracer: Option<&oda::obs::Tracer>,
+    registry: Option<&Registry>,
 ) -> RunReport {
-    let (broker, catalog) = seeded(1, 1, None, None);
-    let checkpoints = CheckpointStore::new();
-    if let Some(p) = &plan {
-        broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-        checkpoints.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-    }
-    if let Some(reg) = metrics {
-        broker.attach_metrics(reg);
-        if let Some(p) = &plan {
-            p.attach_metrics(reg);
-        }
-    }
-    if let Some(tr) = tracer {
-        broker.attach_tracer(tr);
-        if let Some(p) = &plan {
-            p.attach_tracer(tr);
-        }
-    }
-    drive_query(
-        broker,
-        &catalog,
-        checkpoints,
-        plan,
-        workers,
-        metrics,
-        tracer,
-    )
-}
-
-/// The supervisor loop proper: the same crash/recovery harness drives a
-/// single-node or a replicated [`Broker`].
-fn drive_query(
-    broker: Arc<Broker>,
-    catalog: &SensorCatalog,
-    checkpoints: CheckpointStore,
-    plan: Option<Arc<FaultPlan>>,
-    workers: usize,
-    metrics: Option<&oda::obs::Registry>,
-    tracer: Option<&oda::obs::Tracer>,
-) -> RunReport {
+    let broker = seeded(1, 1, None, None);
     let mut sink = MemorySink::new();
-    let restarts = drive_query_into(
-        broker,
-        catalog,
-        &checkpoints,
-        plan,
+    let (checkpoints, restarts) = common::supervise(
+        &broker,
+        plan.as_ref(),
         workers,
-        metrics,
-        tracer,
+        registry,
+        "chaos",
         &mut sink,
+        None,
     );
     RunReport {
         sink,
@@ -141,97 +78,8 @@ fn drive_query(
     }
 }
 
-/// Sink-generic core of the supervisor loop, so the same crash/recovery
-/// harness can drive a plain [`MemorySink`] or an
-/// [`oda::analytics::AlertingSink`] wrapping one.
-#[allow(clippy::too_many_arguments)]
-fn drive_query_into<S: Sink>(
-    broker: Arc<Broker>,
-    catalog: &SensorCatalog,
-    checkpoints: &CheckpointStore,
-    plan: Option<Arc<FaultPlan>>,
-    workers: usize,
-    metrics: Option<&oda::obs::Registry>,
-    tracer: Option<&oda::obs::Tracer>,
-    sink: &mut S,
-) -> usize {
-    let mut restarts = 0;
-    let mut last_recovered_epoch = 0u64;
-    loop {
-        let consumer = Consumer::subscribe(broker.clone(), "chaos", TOPIC)
-            .unwrap()
-            .with_retry(Retry::with_attempts(25));
-        let mut builder = StreamingQuery::builder()
-            .source(consumer)
-            .decoder(observation_decoder(catalog.clone()))
-            .transform(streaming_silver_transform(15_000, 0))
-            .checkpoints(checkpoints.clone())
-            .max_records(MAX_RECORDS)
-            .workers(workers);
-        if let Some(reg) = metrics {
-            builder = builder.metrics(reg);
-        }
-        if let Some(tr) = tracer {
-            builder = builder.tracer(tr).trace_name("chaos");
-        }
-        if let Some(p) = &plan {
-            builder = builder.faults(p.clone() as Arc<dyn FaultPoint>);
-        }
-        let mut query = builder.build().unwrap();
-        assert!(
-            query.epoch() >= last_recovered_epoch,
-            "recovery must never move the epoch backwards: {} < {}",
-            query.epoch(),
-            last_recovered_epoch
-        );
-        last_recovered_epoch = query.epoch();
-        let outcome = loop {
-            match query.run_once(sink) {
-                Ok(0) => break Ok(()),
-                Ok(_) => {}
-                Err(e) => break Err(e),
-            }
-        };
-        match outcome {
-            Ok(()) => break,
-            Err(e) => {
-                assert_eq!(
-                    e.fault_class(),
-                    FaultClass::Fatal,
-                    "only fatal faults may escape the retry envelope: {e}"
-                );
-                restarts += 1;
-                assert!(
-                    restarts <= MAX_RESTARTS,
-                    "crash/recovery loop failed to converge"
-                );
-            }
-        }
-    }
-    restarts
-}
-
-fn run_pipeline_with_workers(plan: Option<Arc<FaultPlan>>, workers: usize) -> RunReport {
-    run_instrumented(plan, workers, None, None)
-}
-
 fn run_pipeline(plan: Option<Arc<FaultPlan>>) -> RunReport {
-    run_pipeline_with_workers(plan, 1)
-}
-
-/// Deterministic Gold reduction over the Silver stream: per-(node,
-/// sensor) day aggregate.
-fn gold_reduction(sink: &MemorySink) -> Frame {
-    let silver = sink.concat().unwrap();
-    group_by(
-        &silver,
-        &["node", "sensor"],
-        &[
-            AggSpec::new("mean", Agg::Mean, "day_mean"),
-            AggSpec::new("count", Agg::Sum, "samples"),
-        ],
-    )
-    .unwrap()
+    run_instrumented(plan, 1, None)
 }
 
 #[test]
@@ -243,14 +91,9 @@ fn chaos_runs_are_byte_identical_to_fault_free_run() {
         baseline_epochs >= 13,
         "need enough epochs to hit both crash points"
     );
-    let baseline_gold = gold_reduction(&baseline.sink);
+    let baseline_gold = common::gold_reduction(&baseline.sink);
 
-    // CI runs a fixed-seed matrix by exporting CHAOS_SEED; locally the
-    // default trio runs in one pass.
-    let seeds: Vec<u64> = match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be a u64")],
-        Err(_) => vec![11, 29, 4242],
-    };
+    let seeds = common::chaos_seeds();
     let single_seed = seeds.len() == 1;
     let mut crashes_seen = 0;
     for seed in seeds {
@@ -275,7 +118,7 @@ fn chaos_runs_are_byte_identical_to_fault_free_run() {
         }
         // Identical Gold reduction.
         assert_eq!(
-            frame_to_colfile(&gold_reduction(&report.sink)).unwrap(),
+            frame_to_colfile(&common::gold_reduction(&report.sink)).unwrap(),
             frame_to_colfile(&baseline_gold).unwrap(),
             "seed {seed}: gold diverged"
         );
@@ -307,11 +150,11 @@ fn metrics_do_not_perturb_chaos_byte_identity() {
     // chaos crash/recovery loop with every subsystem instrumented must
     // leave Gold byte-identical to the uninstrumented fault-free run.
     let baseline = run_pipeline(None);
-    let baseline_gold = frame_to_colfile(&gold_reduction(&baseline.sink)).unwrap();
+    let baseline_gold = frame_to_colfile(&common::gold_reduction(&baseline.sink)).unwrap();
     for seed in [11u64, 29, 4242] {
         let plan = Arc::new(FaultPlan::chaos(seed));
-        let reg = oda::obs::Registry::new();
-        let report = run_instrumented(Some(plan.clone()), 2, Some(&reg), None);
+        let reg = Registry::new();
+        let report = run_instrumented(Some(plan.clone()), 2, Some(&reg));
         assert_eq!(report.sink.epochs(), baseline.sink.epochs(), "seed {seed}");
         for (ours, theirs) in report.sink.frames().iter().zip(baseline.sink.frames()) {
             assert_eq!(
@@ -321,7 +164,7 @@ fn metrics_do_not_perturb_chaos_byte_identity() {
             );
         }
         assert_eq!(
-            frame_to_colfile(&gold_reduction(&report.sink)).unwrap(),
+            frame_to_colfile(&common::gold_reduction(&report.sink)).unwrap(),
             baseline_gold,
             "seed {seed}: gold diverged with metrics enabled"
         );
@@ -359,11 +202,12 @@ fn traces_do_not_perturb_chaos_byte_identity() {
     // and the journal's fault events must agree with the plan's own
     // injection log, site for site.
     let baseline = run_pipeline(None);
-    let baseline_gold = frame_to_colfile(&gold_reduction(&baseline.sink)).unwrap();
+    let baseline_gold = frame_to_colfile(&common::gold_reduction(&baseline.sink)).unwrap();
     for seed in [11u64, 29, 4242] {
         let plan = Arc::new(FaultPlan::chaos(seed));
-        let tracer = oda::obs::Tracer::new();
-        let report = run_instrumented(Some(plan.clone()), 2, None, Some(&tracer));
+        let tracer = Tracer::new();
+        let registry = Registry::new().with_tracer(&tracer);
+        let report = run_instrumented(Some(plan.clone()), 2, Some(&registry));
         assert_eq!(report.sink.epochs(), baseline.sink.epochs(), "seed {seed}");
         for (ours, theirs) in report.sink.frames().iter().zip(baseline.sink.frames()) {
             assert_eq!(
@@ -373,7 +217,7 @@ fn traces_do_not_perturb_chaos_byte_identity() {
             );
         }
         assert_eq!(
-            frame_to_colfile(&gold_reduction(&report.sink)).unwrap(),
+            frame_to_colfile(&common::gold_reduction(&report.sink)).unwrap(),
             baseline_gold,
             "seed {seed}: gold diverged with tracing enabled"
         );
@@ -427,17 +271,14 @@ fn node_crash_failover_gold_byte_identity() {
     // byte-identical to the single-node fault-free baseline: failover
     // may change *which node serves*, never *which bytes flow*.
     let baseline = run_pipeline(None);
-    let baseline_gold = frame_to_colfile(&gold_reduction(&baseline.sink)).unwrap();
-    let seeds: Vec<u64> = match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be a u64")],
-        Err(_) => vec![11, 29, 4242],
-    };
+    let baseline_gold = frame_to_colfile(&common::gold_reduction(&baseline.sink)).unwrap();
+    let seeds = common::chaos_seeds();
     let mut new_site_injections = 0u64;
     for &seed in &seeds {
         for replication in [1u32, 2, 3] {
             for workers in [1usize, 8] {
                 let label = format!("seed {seed} rf {replication} workers {workers}");
-                let tracer = oda::obs::Tracer::new();
+                let tracer = Tracer::new();
                 // Seed phase: only the replication sites are live, so
                 // the acked record stream itself is never perturbed.
                 let seed_plan = Arc::new(FaultPlan::new(
@@ -448,28 +289,25 @@ fn node_crash_failover_gold_byte_identity() {
                         ..FaultSpec::default()
                     },
                 ));
-                seed_plan.attach_tracer(&tracer);
-                let (cluster, catalog) =
-                    seeded(3, replication, Some(seed_plan.clone()), Some(&tracer));
+                seed_plan.attach_metrics(&Registry::new().with_tracer(&tracer));
+                let registry = Registry::new().with_tracer(&tracer);
+                let cluster = seeded(3, replication, Some(&seed_plan), Some(&registry));
                 // Run phase: the full chaos schedule plus replication
                 // faults drives the supervisor loop.
                 let run_plan = Arc::new(FaultPlan::cluster_chaos(seed));
-                run_plan.attach_tracer(&tracer);
-                cluster.arm_faults(run_plan.clone() as Arc<dyn FaultPoint>);
-                let checkpoints = CheckpointStore::new();
-                checkpoints.arm_faults(run_plan.clone() as Arc<dyn FaultPoint>);
-                let report = drive_query(
-                    cluster.clone(),
-                    &catalog,
-                    checkpoints,
-                    Some(run_plan.clone()),
+                let mut sink = MemorySink::new();
+                common::supervise(
+                    &cluster,
+                    Some(&run_plan),
                     workers,
+                    Some(&registry),
+                    "chaos",
+                    &mut sink,
                     None,
-                    Some(&tracer),
                 );
                 // Byte identity against the single-node baseline.
-                assert_eq!(report.sink.epochs(), baseline.sink.epochs(), "{label}");
-                for (ours, theirs) in report.sink.frames().iter().zip(baseline.sink.frames()) {
+                assert_eq!(sink.epochs(), baseline.sink.epochs(), "{label}");
+                for (ours, theirs) in sink.frames().iter().zip(baseline.sink.frames()) {
                     assert_eq!(
                         frame_to_colfile(ours).unwrap(),
                         frame_to_colfile(theirs).unwrap(),
@@ -477,7 +315,7 @@ fn node_crash_failover_gold_byte_identity() {
                     );
                 }
                 assert_eq!(
-                    frame_to_colfile(&gold_reduction(&report.sink)).unwrap(),
+                    frame_to_colfile(&common::gold_reduction(&sink)).unwrap(),
                     baseline_gold,
                     "{label}: gold diverged from single-node baseline"
                 );
@@ -551,22 +389,16 @@ fn chaos_alert_engine() -> oda::analytics::OnlineAnalytics {
 
 /// Run the supervisor loop with the online detectors riding on the sink.
 fn run_alerting(plan: Option<Arc<FaultPlan>>, workers: usize) -> (RunReport, Vec<u8>) {
-    let (broker, catalog) = seeded(1, 1, None, None);
-    let checkpoints = CheckpointStore::new();
-    if let Some(p) = &plan {
-        broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-        checkpoints.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-    }
+    let broker = seeded(1, 1, None, None);
     let mut sink = oda::analytics::AlertingSink::new(MemorySink::new(), chaos_alert_engine());
-    let restarts = drive_query_into(
-        broker,
-        &catalog,
-        &checkpoints,
-        plan,
+    let (checkpoints, restarts) = common::supervise(
+        &broker,
+        plan.as_ref(),
         workers,
         None,
-        None,
+        "chaos",
         &mut sink,
+        None,
     );
     let (inner, engine) = sink.into_parts();
     (
@@ -589,7 +421,7 @@ fn alerts_do_not_perturb_chaos_byte_identity() {
     // skips replayed (byte-identical) epochs instead of re-analyzing
     // them.
     let plain = run_pipeline(None);
-    let plain_gold = frame_to_colfile(&gold_reduction(&plain.sink)).unwrap();
+    let plain_gold = frame_to_colfile(&common::gold_reduction(&plain.sink)).unwrap();
     let (baseline, baseline_alerts) = run_alerting(None, 1);
     assert_eq!(baseline.restarts, 0);
     assert!(
@@ -606,15 +438,12 @@ fn alerts_do_not_perturb_chaos_byte_identity() {
         );
     }
     assert_eq!(
-        frame_to_colfile(&gold_reduction(&baseline.sink)).unwrap(),
+        frame_to_colfile(&common::gold_reduction(&baseline.sink)).unwrap(),
         plain_gold,
         "alerting sink perturbed gold"
     );
 
-    let seeds: Vec<u64> = match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be a u64")],
-        Err(_) => vec![11, 29, 4242],
-    };
+    let seeds = common::chaos_seeds();
     for &seed in &seeds {
         for workers in [1usize, 8] {
             let plan = Arc::new(FaultPlan::chaos(seed));
@@ -625,7 +454,7 @@ fn alerts_do_not_perturb_chaos_byte_identity() {
                 "seed {seed} workers {workers}"
             );
             assert_eq!(
-                frame_to_colfile(&gold_reduction(&report.sink)).unwrap(),
+                frame_to_colfile(&common::gold_reduction(&report.sink)).unwrap(),
                 plain_gold,
                 "seed {seed} workers {workers}: gold diverged"
             );

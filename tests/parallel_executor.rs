@@ -12,6 +12,8 @@
 //! * `EpochMeta` reaches the sink with correct epoch/partition/record
 //!   counts and a replay-stable watermark.
 
+mod common;
+
 use bytes::Bytes;
 use oda::faults::{FaultClass, FaultPlan, FaultPoint, Retry, Retryable};
 use oda::pipeline::checkpoint::CheckpointStore;
@@ -19,9 +21,8 @@ use oda::pipeline::frame_io::frame_to_colfile;
 use oda::pipeline::medallion::{
     observation_decoder, quality_filter_map, streaming_silver_transform,
 };
-use oda::pipeline::ops::{group_by, Agg, AggSpec};
 use oda::pipeline::streaming::MemorySink;
-use oda::pipeline::{Frame, PipelineError, StreamingQuery};
+use oda::pipeline::{PipelineError, StreamingQuery};
 use oda::stream::{Broker, Consumer, RetentionPolicy};
 use oda::telemetry::record::Observation;
 use oda::telemetry::system::SystemModel;
@@ -106,20 +107,6 @@ fn run_with_workers(workers: usize, plan: Option<Arc<FaultPlan>>) -> RunReport {
     RunReport { sink, restarts }
 }
 
-/// Deterministic Gold reduction over the Silver stream.
-fn gold(sink: &MemorySink) -> Frame {
-    let silver = sink.concat().unwrap();
-    group_by(
-        &silver,
-        &["node", "sensor"],
-        &[
-            AggSpec::new("mean", Agg::Mean, "day_mean"),
-            AggSpec::new("count", Agg::Sum, "samples"),
-        ],
-    )
-    .unwrap()
-}
-
 fn assert_identical(a: &RunReport, b: &RunReport, label: &str) {
     assert_eq!(a.sink.epochs(), b.sink.epochs(), "{label}: epoch count");
     assert_eq!(
@@ -135,8 +122,8 @@ fn assert_identical(a: &RunReport, b: &RunReport, label: &str) {
         );
     }
     assert_eq!(
-        frame_to_colfile(&gold(&a.sink)).unwrap(),
-        frame_to_colfile(&gold(&b.sink)).unwrap(),
+        frame_to_colfile(&common::gold_reduction(&a.sink)).unwrap(),
+        frame_to_colfile(&common::gold_reduction(&b.sink)).unwrap(),
         "{label}: gold diverged"
     );
     // EpochMeta is part of the contract too: same watermark, same

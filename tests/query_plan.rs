@@ -13,6 +13,7 @@ mod common;
 
 use std::sync::Arc;
 
+use oda::obs::{Registry, TraceEventKind, Tracer};
 use oda::pipeline::frame_io::frame_to_colfile;
 use oda::pipeline::logical::{ExecContext, Query};
 use oda::pipeline::ops::{Agg, AggSpec};
@@ -346,6 +347,75 @@ fn planned_scan_reports_pruning_stats() {
     assert_eq!(stats.index_hits, 1);
     assert!(stats.chunks_pruned > 0);
     assert_eq!(out.rows(), 16);
+}
+
+/// An observed context feeds the planner's counters by exactly the
+/// returned `ExecStats` and records exactly one `plan_executed` span
+/// carrying the same figures.
+#[test]
+fn observed_execution_counts_and_traces_its_stats() {
+    let tracer = Tracer::new();
+    let registry = Registry::new().with_tracer(&tracer);
+    const COUNTERS: [&str; 4] = [
+        "query_plans_executed_total",
+        "query_chunks_read_total",
+        "query_chunks_pruned_total",
+        "query_index_hits_total",
+    ];
+    let read = || COUNTERS.map(|name| registry.counter_value(name, &[]));
+    let before = read();
+    let ctx = ExecContext {
+        name: "observed".into(),
+        registry: Some(registry.clone()),
+    };
+    let (out, stats) = Query::scan_table(explain_table())
+        .filter(
+            Expr::col("sensor")
+                .eq_(Expr::LitS("t0".into()))
+                .and(Expr::col("ts").ge(Expr::LitI(1_600))),
+        )
+        .select(&["ts", "v"])
+        .execute_with(&ctx)
+        .unwrap();
+    assert_eq!(stats.index_hits, 1, "the sensor predicate hits the index");
+    assert!(stats.chunks_pruned > 0 && stats.chunks_read > 0);
+    assert_eq!(stats.rows_out, out.rows() as u64);
+    if !oda::obs::enabled() {
+        assert!(tracer.events().is_empty());
+        return;
+    }
+    let after = read();
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(
+        delta,
+        vec![1, stats.chunks_read, stats.chunks_pruned, stats.index_hits]
+    );
+    let events = tracer.events();
+    assert_eq!(events.len(), 1, "one execution, one event: {events:?}");
+    let TraceEventKind::PlanExecuted {
+        query,
+        rows_out,
+        chunks_read,
+        chunks_pruned,
+        index_hits,
+        groups,
+    } = &events[0].kind
+    else {
+        panic!("expected plan_executed, got {}", events[0].name());
+    };
+    assert_eq!(query, "observed");
+    assert_eq!(
+        (*rows_out, *chunks_read, *chunks_pruned, *index_hits),
+        (
+            stats.rows_out,
+            stats.chunks_read,
+            stats.chunks_pruned,
+            stats.index_hits
+        )
+    );
+    let scanned: Vec<String> = stats.groups_scanned.iter().map(|g| g.to_string()).collect();
+    assert_eq!(*groups, scanned.join(","));
+    assert_eq!(groups, "1,2");
 }
 
 /// `file`, which indexes one column, with that index section swapped

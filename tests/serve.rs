@@ -14,142 +14,50 @@
 
 mod common;
 
-use bytes::Bytes;
-use oda::faults::{FaultClass, FaultPlan, FaultPoint, Retry, Retryable};
+use oda::faults::FaultPlan;
 use oda::obs::{render_health_json, HealthEngine, MetricsSnapshot, Registry, Tracer, Verdict};
-use oda::pipeline::checkpoint::CheckpointStore;
 use oda::pipeline::frame_io::frame_to_colfile;
-use oda::pipeline::medallion::{observation_decoder, streaming_silver_transform};
-use oda::pipeline::ops::{group_by, Agg, AggSpec};
 use oda::pipeline::streaming::MemorySink;
-use oda::pipeline::{Frame, StreamingQuery};
 use oda::serve::{serve, Endpoints, ServerConfig};
-use oda::stream::{Broker, Consumer, RetentionPolicy};
-use oda::telemetry::record::Observation;
-use oda::telemetry::system::SystemModel;
-use oda::telemetry::{SensorCatalog, TelemetryGenerator};
+use oda::stream::Broker;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-const TOPIC: &str = "bronze";
+use common::TOPIC;
+
 const BATCHES: usize = 80;
-const MAX_RECORDS: usize = 5;
-const MAX_RESTARTS: usize = 60;
 const SCRAPERS: usize = 8;
 
-// ---------------------------------------------------------------------
-// Shared harness (mirrors tests/chaos.rs)
-// ---------------------------------------------------------------------
-
-fn seeded_broker() -> (Arc<Broker>, SensorCatalog) {
-    let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
-    let broker = Broker::new();
-    broker
-        .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
-        .unwrap();
-    for _ in 0..BATCHES {
-        let batch = generator.next_batch();
-        let payload = Observation::encode_batch(&batch.observations);
-        broker
-            .produce(
-                TOPIC,
-                batch.ts_ms,
-                Some(Bytes::from("all")),
-                Bytes::from(payload),
-            )
-            .unwrap();
-    }
-    (broker, generator.catalog().clone())
-}
-
-fn gold_reduction(sink: &MemorySink) -> Frame {
-    let silver = sink.concat().unwrap();
-    group_by(
-        &silver,
-        &["node", "sensor"],
-        &[
-            AggSpec::new("mean", Agg::Mean, "day_mean"),
-            AggSpec::new("count", Agg::Sum, "samples"),
-        ],
-    )
-    .unwrap()
-}
-
-/// The chaos supervisor loop, optionally instrumented and optionally
-/// ticking a health engine once per committed epoch (the serve-side
-/// data-plane idiom this suite is proving safe).
+/// The shared supervisor loop over a freshly seeded broker, optionally
+/// observed through `registry` and optionally ticking a health engine
+/// over it once per committed epoch (the serve-side data-plane idiom
+/// this suite is proving safe).
 fn run_pipeline(
     plan: Option<Arc<FaultPlan>>,
     workers: usize,
-    metrics: Option<&Registry>,
-    tracer: Option<&Tracer>,
+    registry: Option<&Registry>,
     health: Option<&Arc<Mutex<HealthEngine>>>,
-) -> (MemorySink, usize) {
-    let (broker, catalog) = seeded_broker();
-    let checkpoints = CheckpointStore::new();
-    if let Some(p) = &plan {
-        broker.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-        checkpoints.arm_faults(p.clone() as Arc<dyn FaultPoint>);
-    }
-    if let Some(reg) = metrics {
-        broker.attach_metrics(reg);
-        if let Some(p) = &plan {
-            p.attach_metrics(reg);
+) -> MemorySink {
+    let broker = Broker::new();
+    common::seed_broker(&broker, BATCHES);
+    let tick = || {
+        if let (Some(engine), Some(reg)) = (health, registry) {
+            engine.lock().unwrap().observe(reg);
         }
-    }
-    if let Some(tr) = tracer {
-        broker.attach_tracer(tr);
-        if let Some(p) = &plan {
-            p.attach_tracer(tr);
-        }
-    }
+    };
     let mut sink = MemorySink::new();
-    let mut restarts = 0;
-    'supervise: loop {
-        let consumer = Consumer::subscribe(broker.clone(), "serve", TOPIC)
-            .unwrap()
-            .with_retry(Retry::with_attempts(25));
-        let mut builder = StreamingQuery::builder()
-            .source(consumer)
-            .decoder(observation_decoder(catalog.clone()))
-            .transform(streaming_silver_transform(15_000, 0))
-            .checkpoints(checkpoints.clone())
-            .max_records(MAX_RECORDS)
-            .workers(workers);
-        if let Some(reg) = metrics {
-            builder = builder.metrics(reg);
-        }
-        if let Some(tr) = tracer {
-            builder = builder.tracer(tr).trace_name("serve");
-        }
-        if let Some(p) = &plan {
-            builder = builder.faults(p.clone() as Arc<dyn FaultPoint>);
-        }
-        let mut query = builder.build().unwrap();
-        loop {
-            match query.run_once(&mut sink) {
-                Ok(0) => break 'supervise,
-                Ok(_) => {
-                    if let (Some(engine), Some(reg)) = (health, metrics) {
-                        engine.lock().unwrap().observe(reg);
-                    }
-                }
-                Err(e) => {
-                    assert_eq!(
-                        e.fault_class(),
-                        FaultClass::Fatal,
-                        "only fatal faults may escape the retry envelope: {e}"
-                    );
-                    restarts += 1;
-                    assert!(restarts <= MAX_RESTARTS, "recovery failed to converge");
-                    continue 'supervise;
-                }
-            }
-        }
-    }
-    (sink, restarts)
+    common::supervise(
+        &broker,
+        plan.as_ref(),
+        workers,
+        registry,
+        "serve",
+        &mut sink,
+        Some(&tick),
+    );
+    sink
 }
 
 /// One raw GET; returns (status, content-type, body).
@@ -177,23 +85,16 @@ fn fetch(addr: SocketAddr, path: &str) -> Option<(u16, String, String)> {
 /// Gold reduction must stay byte-identical to the bare, unwatched run.
 #[test]
 fn concurrent_scrapes_do_not_perturb_gold() {
-    let (baseline_sink, _) = run_pipeline(None, 1, None, None, None);
-    let baseline_gold = frame_to_colfile(&gold_reduction(&baseline_sink)).unwrap();
+    let baseline_sink = run_pipeline(None, 1, None, None);
+    let baseline_gold = frame_to_colfile(&common::gold_reduction(&baseline_sink)).unwrap();
 
-    // CI runs a fixed-seed matrix by exporting CHAOS_SEED; locally the
-    // default trio runs in one pass.
-    let seeds: Vec<u64> = match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s.parse().expect("CHAOS_SEED must be a u64")],
-        Err(_) => vec![11, 29, 4242],
-    };
+    let seeds = common::chaos_seeds();
     for seed in seeds {
-        let registry = Registry::new();
-        let tracer = Tracer::new();
+        let registry = Registry::new().with_tracer(&Tracer::new());
         let engine = Arc::new(Mutex::new(HealthEngine::with_defaults()));
         let endpoints = Endpoints::new()
             .with_registry(&registry)
-            .with_health(Arc::clone(&engine))
-            .with_tracer(&tracer);
+            .with_health(Arc::clone(&engine));
         let server = serve(endpoints, "127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.addr();
 
@@ -246,7 +147,7 @@ fn concurrent_scrapes_do_not_perturb_gold() {
             .collect();
 
         let plan = Arc::new(FaultPlan::chaos(seed));
-        let (sink, _) = run_pipeline(Some(plan), 8, Some(&registry), Some(&tracer), Some(&engine));
+        let sink = run_pipeline(Some(plan), 8, Some(&registry), Some(&engine));
 
         stop.store(true, Ordering::Relaxed);
         let mut total_scrapes = 0;
@@ -261,7 +162,7 @@ fn concurrent_scrapes_do_not_perturb_gold() {
             "seed {seed}: scrapers barely ran ({total_scrapes})"
         );
 
-        let gold = frame_to_colfile(&gold_reduction(&sink)).unwrap();
+        let gold = frame_to_colfile(&common::gold_reduction(&sink)).unwrap();
         assert_eq!(
             gold, baseline_gold,
             "seed {seed}: scrape pressure + health engine changed Gold bytes"
@@ -368,14 +269,12 @@ fn scripted_sequence_flips_stream_verdict() {
 /// a real socket (the same tour the CI serve-smoke job runs).
 #[test]
 fn every_endpoint_answers_with_correct_content_type() {
-    let registry = Registry::new();
+    let registry = Registry::new().with_tracer(&Tracer::new());
     registry.counter("smoke_total", "smoke", &[]).inc();
-    let tracer = Tracer::new();
     let engine = Arc::new(Mutex::new(HealthEngine::with_defaults()));
     let endpoints = Endpoints::new()
         .with_registry(&registry)
         .with_health(Arc::clone(&engine))
-        .with_tracer(&tracer)
         .with_alerts(Arc::new(String::new))
         .with_bench(Arc::new(|| "{\"schema\":\"test\"}".to_string()));
     let server = serve(endpoints, "127.0.0.1:0", ServerConfig::default()).expect("bind");
@@ -412,10 +311,10 @@ fn lineage_endpoint_serves_gold_ancestry() {
     if !oda::obs::enabled() {
         return; // lineage recording is compiled out
     }
-    let registry = Registry::new();
     let tracer = Tracer::new();
-    let (sink, _) = run_pipeline(None, 2, Some(&registry), Some(&tracer), None);
-    let gold = gold_reduction(&sink);
+    let registry = Registry::new().with_tracer(&tracer);
+    let sink = run_pipeline(None, 2, Some(&registry), None);
+    let gold = common::gold_reduction(&sink);
     let gold_bytes = frame_to_colfile(&gold).unwrap();
     let digest = oda::obs::fnv1a(&gold_bytes);
     tracer.link(
@@ -433,7 +332,7 @@ fn lineage_endpoint_serves_gold_ancestry() {
         "reduce",
     );
 
-    let endpoints = Endpoints::new().with_tracer(&tracer);
+    let endpoints = Endpoints::new().with_registry(&registry);
     let server = serve(endpoints, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let (status, ct, body) =
         fetch(server.addr(), &format!("/lineage/digest/{digest:016x}")).expect("lineage answers");

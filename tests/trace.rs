@@ -12,9 +12,9 @@
 mod common;
 
 use bytes::Bytes;
-use oda::faults::{FaultClass, FaultPlan, FaultPoint, Retry, Retryable};
+use oda::faults::FaultPlan;
 use oda::obs::{
-    export_chrome_trace, export_jsonl, LineageNode, TraceEvent, TraceEventKind, TraceId,
+    export_chrome_trace, export_jsonl, LineageNode, Registry, TraceEvent, TraceEventKind, TraceId,
     TraceSpanId, Tracer,
 };
 use oda::pipeline::checkpoint::CheckpointStore;
@@ -30,65 +30,30 @@ use proptest::prelude::*;
 use serde_json::Value;
 use std::sync::Arc;
 
-const TOPIC: &str = "bronze";
+use common::TOPIC;
+
 const BATCHES: usize = 20;
 
-/// The chaos seed-11 medallion flow with the tracer attached to every
-/// subsystem, supervised through crash/recovery to a drained stream.
+/// The chaos seed-11 medallion flow with one traced registry attached to
+/// every subsystem, supervised through crash/recovery to a drained
+/// stream.
 fn traced_run(workers: usize) -> (Tracer, MemorySink) {
     let tracer = Tracer::new();
-    let mut generator = TelemetryGenerator::new(SystemModel::tiny(), 7);
+    let registry = Registry::new().with_tracer(&tracer);
     let broker = Broker::new();
-    broker.attach_tracer(&tracer);
-    broker
-        .create_topic(TOPIC, 2, RetentionPolicy::unbounded())
-        .unwrap();
-    for _ in 0..BATCHES {
-        let batch = generator.next_batch();
-        let payload = Observation::encode_batch(&batch.observations);
-        broker
-            .produce(
-                TOPIC,
-                batch.ts_ms,
-                Some(Bytes::from("all")),
-                Bytes::from(payload),
-            )
-            .unwrap();
-    }
-    let catalog = generator.catalog().clone();
+    broker.attach_metrics(&registry);
+    common::seed_broker(&broker, BATCHES);
     let plan = Arc::new(FaultPlan::chaos(11));
-    plan.attach_tracer(&tracer);
-    broker.arm_faults(plan.clone() as Arc<dyn FaultPoint>);
-    let checkpoints = CheckpointStore::new();
-    checkpoints.arm_faults(plan.clone() as Arc<dyn FaultPoint>);
     let mut sink = MemorySink::new();
-    'supervise: loop {
-        let consumer = Consumer::subscribe(broker.clone(), "trace", TOPIC)
-            .unwrap()
-            .with_retry(Retry::with_attempts(25));
-        let mut query = StreamingQuery::builder()
-            .source(consumer)
-            .decoder(observation_decoder(catalog.clone()))
-            .transform(streaming_silver_transform(15_000, 0))
-            .checkpoints(checkpoints.clone())
-            .max_records(5)
-            .workers(workers)
-            .tracer(&tracer)
-            .trace_name("golden")
-            .faults(plan.clone() as Arc<dyn FaultPoint>)
-            .build()
-            .unwrap();
-        loop {
-            match query.run_once(&mut sink) {
-                Ok(0) => break 'supervise,
-                Ok(_) => {}
-                Err(e) => {
-                    assert_eq!(e.fault_class(), FaultClass::Fatal, "unexpected: {e}");
-                    continue 'supervise;
-                }
-            }
-        }
-    }
+    common::supervise(
+        &broker,
+        Some(&plan),
+        workers,
+        Some(&registry),
+        "golden",
+        &mut sink,
+        None,
+    );
     (tracer, sink)
 }
 
@@ -133,7 +98,7 @@ fn metrics_and_traces_agree_on_stage_durations() {
     if !oda::obs::enabled() {
         return;
     }
-    let reg = oda::obs::Registry::new();
+    let reg = Registry::new();
     let tracer = Tracer::new();
     let broker = Broker::new();
     broker
@@ -155,8 +120,7 @@ fn metrics_and_traces_agree_on_stage_durations() {
         .checkpoints(CheckpointStore::new())
         .max_records(7)
         .workers(2)
-        .metrics(&reg)
-        .tracer(&tracer)
+        .metrics(&reg.with_tracer(&tracer))
         .build()
         .unwrap();
     let mut sink = MemorySink::new();
