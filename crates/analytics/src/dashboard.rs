@@ -45,39 +45,43 @@ pub struct TicketJob {
 }
 
 /// The compiled, indexed dashboard.
-pub struct UaDashboard {
-    jobs_by_user: HashMap<u32, Vec<Job>>,
-    events_by_node: HashMap<u32, Vec<Event>>,
+///
+/// It borrows the job history and the event stream it was compiled from
+/// (`'a`): the indexes hold `&Job` / `&Event`, so compiling copies no job
+/// or event, and the slices must outlive the dashboard.
+pub struct UaDashboard<'a> {
+    jobs_by_user: HashMap<u32, Vec<&'a Job>>,
+    events_by_node: HashMap<u32, Vec<&'a Event>>,
     lake: Arc<Lake>,
     /// Prefix of LAKE series names ("tiny/" when the facility namespaces
     /// series by system).
     series_prefix: String,
 }
 
-impl UaDashboard {
+impl<'a> UaDashboard<'a> {
     /// Compile the dashboard from job history, the event stream, and
     /// the LAKE handle holding per-node telemetry series
     /// (`node{N}/node_power_w`).
-    pub fn compile(jobs: &[Job], events: &[Event], lake: Arc<Lake>) -> UaDashboard {
+    pub fn compile(jobs: &'a [Job], events: &'a [Event], lake: Arc<Lake>) -> UaDashboard<'a> {
         Self::compile_with_prefix(jobs, events, lake, "")
     }
 
     /// Compile with a LAKE series-name prefix (facilities namespace
     /// series as `"<system>/node<N>/<sensor>"`).
     pub fn compile_with_prefix(
-        jobs: &[Job],
-        events: &[Event],
+        jobs: &'a [Job],
+        events: &'a [Event],
         lake: Arc<Lake>,
         series_prefix: &str,
-    ) -> UaDashboard {
-        let mut jobs_by_user: HashMap<u32, Vec<Job>> = HashMap::new();
+    ) -> UaDashboard<'a> {
+        let mut jobs_by_user: HashMap<u32, Vec<&'a Job>> = HashMap::new();
         for j in jobs {
-            jobs_by_user.entry(j.user).or_default().push(j.clone());
+            jobs_by_user.entry(j.user).or_default().push(j);
         }
-        let mut events_by_node: HashMap<u32, Vec<Event>> = HashMap::new();
+        let mut events_by_node: HashMap<u32, Vec<&'a Event>> = HashMap::new();
         for e in events {
             if let Some(n) = e.node {
-                events_by_node.entry(n).or_default().push(e.clone());
+                events_by_node.entry(n).or_default().push(e);
             }
         }
         UaDashboard {
@@ -95,6 +99,7 @@ impl UaDashboard {
             .get(&user)
             .map(|js| {
                 js.iter()
+                    .copied()
                     .filter(|j| j.start_ms < t1 && j.end_ms > t0)
                     .collect()
             })
@@ -317,5 +322,77 @@ mod tests {
             assert_eq!(fe, se);
             assert_eq!(fast.mean_power_w, slow.mean_power_w);
         }
+    }
+
+    /// The compiled dashboard against the manual scans over a generated
+    /// fleet: 6 000 jobs of 40 users on 256 nodes, events on job nodes
+    /// (and a few elsewhere), tickets across 12 windows of one day.
+    #[test]
+    fn compiled_matches_manual_at_fleet_scale() {
+        const NODES: u64 = 256;
+        const USERS: u64 = 40;
+        const SPAN: i64 = 86_400_000;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let jobs: Vec<Job> = (0..6_000u64)
+            .map(|id| {
+                let start = next(SPAN as u64) as i64;
+                let end = start + 60_000 + next(4 * 3_600_000) as i64;
+                let first = next(NODES);
+                let nodes = (0..1 + next(8))
+                    .map(|k| ((first + k) % NODES) as u32)
+                    .collect();
+                job(id, next(USERS) as u32, nodes, start, end)
+            })
+            .collect();
+        let events: Vec<Event> = (0..8_000)
+            .map(|i| {
+                let kind = EventKind::ALL[next(EventKind::ALL.len() as u64) as usize];
+                if i % 50 == 0 {
+                    return event(next(NODES) as u32, next(SPAN as u64) as i64, kind);
+                }
+                let j = &jobs[next(jobs.len() as u64) as usize];
+                let node = j.nodes[next(j.nodes.len() as u64) as usize];
+                let ts = j.start_ms + next((j.end_ms - j.start_ms) as u64) as i64;
+                event(node, ts, kind)
+            })
+            .collect();
+        let lake = Arc::new(Lake::new());
+        for n in 0..NODES {
+            for t in (0..SPAN).step_by(600_000) {
+                lake.insert(
+                    &format!("node{n}/node_power_w"),
+                    t,
+                    400.0 + next(4_000) as f64 / 10.0,
+                );
+            }
+        }
+
+        let dash = UaDashboard::compile(&jobs, &events, Arc::clone(&lake));
+        let (mut tickets, mut users) = (0, std::collections::BTreeSet::new());
+        for w in 0..12i64 {
+            let (t0, t1) = (w * 7_200_000, w * 7_200_000 + 3 * 3_600_000);
+            for _ in 0..4 {
+                let user = next(USERS) as u32;
+                users.insert(user);
+                let fast = dash.diagnose(user, t0, t1);
+                let slow = diagnose_manually(&jobs, &events, &lake, "", user, t0, t1);
+                let ids = |c: &TicketContext| c.jobs.iter().map(|j| j.job_id).collect::<Vec<_>>();
+                assert_eq!(ids(&fast), ids(&slow), "user {user}, window {w}");
+                let (mut fe, mut se) = (fast.node_events, slow.node_events);
+                fe.sort();
+                se.sort();
+                assert_eq!(fe, se, "user {user}, window {w}");
+                assert_eq!(fast.mean_power_w, slow.mean_power_w);
+                tickets += usize::from(!fast.jobs.is_empty() && !fe.is_empty());
+            }
+        }
+        assert!(users.len() >= 10, "{} users", users.len());
+        assert!(tickets >= 10, "only {tickets} tickets had jobs and events");
     }
 }

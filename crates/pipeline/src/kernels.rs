@@ -223,28 +223,31 @@ pub(crate) fn accumulate_grouped_i64(accs: &mut [NumAcc], groups: &[usize], vals
     }
 }
 
-/// Accumulate f64 values into a (group, slot) cell grid: row i feeds
-/// `cells[groups[i]][slots[i]]` — the pivot inner loop.
+/// Accumulate f64 values into a row-major (group, slot) cell grid
+/// `width` slots wide: row i feeds `cells[groups[i] * width + slots[i]]`
+/// — the pivot inner loop.
 pub(crate) fn accumulate_cells_f64(
-    cells: &mut [Vec<NumAcc>],
+    cells: &mut [NumAcc],
+    width: usize,
     groups: &[usize],
     slots: &[usize],
     vals: &[f64],
 ) {
     for ((&g, &s), &v) in groups.iter().zip(slots).zip(vals) {
-        cells[g][s].push(v);
+        cells[g * width + s].push(v);
     }
 }
 
 /// Accumulate i64 values (coerced to f64) into a (group, slot) grid.
 pub(crate) fn accumulate_cells_i64(
-    cells: &mut [Vec<NumAcc>],
+    cells: &mut [NumAcc],
+    width: usize,
     groups: &[usize],
     slots: &[usize],
     vals: &[i64],
 ) {
     for ((&g, &s), &v) in groups.iter().zip(slots).zip(vals) {
-        cells[g][s].push(v as f64);
+        cells[g * width + s].push(v as f64);
     }
 }
 
@@ -359,17 +362,15 @@ mod tests {
     fn cell_accumulation_matches_scalar_pushes() {
         let groups = [0usize, 0, 1];
         let slots = [0usize, 1, 0];
-        let mut cells = vec![
-            vec![NumAcc::new(), NumAcc::new()],
-            vec![NumAcc::new(), NumAcc::new()],
-        ];
-        accumulate_cells_f64(&mut cells, &groups, &slots, &[1.0, 2.0, 3.0]);
-        assert_eq!(cells[0][0].get(Agg::Sum), 1.0);
-        assert_eq!(cells[0][1].get(Agg::Sum), 2.0);
-        assert_eq!(cells[1][0].get(Agg::Sum), 3.0);
-        assert!(cells[1][1].get(Agg::Mean).is_nan());
-        let mut icells = vec![vec![NumAcc::new()]];
-        accumulate_cells_i64(&mut icells, &[0], &[0], &[7]);
-        assert_eq!(icells[0][0].get(Agg::Last), 7.0);
+        // Two groups × two slots, row-major.
+        let mut cells = vec![NumAcc::new(); 4];
+        accumulate_cells_f64(&mut cells, 2, &groups, &slots, &[1.0, 2.0, 3.0]);
+        assert_eq!(cells[0].get(Agg::Sum), 1.0);
+        assert_eq!(cells[1].get(Agg::Sum), 2.0);
+        assert_eq!(cells[2].get(Agg::Sum), 3.0);
+        assert!(cells[3].get(Agg::Mean).is_nan());
+        let mut icells = vec![NumAcc::new()];
+        accumulate_cells_i64(&mut icells, 1, &[0], &[0], &[7]);
+        assert_eq!(icells[0].get(Agg::Last), 7.0);
     }
 }

@@ -95,8 +95,7 @@ pub fn group_by<S: AsRef<str>>(
         }
     }
 
-    let (row_group, representative) =
-        GroupTable::new().assign(&KeyCols::of(frame, &key_idx), frame.rows());
+    let (row_group, representative) = KeyCols::of(frame, &key_idx).group_ids(frame.rows());
     let n_groups = representative.len();
 
     // Key columns from representative rows.
@@ -231,17 +230,16 @@ pub fn pivot<S: AsRef<str>>(
         }
     };
 
-    let (row_group, representative) =
-        GroupTable::new().assign(&KeyCols::of(frame, &index_idx), frame.rows());
-    let mut cells: Vec<Vec<NumAcc>> = (0..representative.len())
-        .map(|_| vec![NumAcc::new(); distinct.len()])
-        .collect();
+    let (row_group, representative) = KeyCols::of(frame, &index_idx).group_ids(frame.rows());
+    // One row-major grid: group g's cell for slot p is `g * width + p`.
+    let width = distinct.len();
+    let mut cells = vec![NumAcc::new(); representative.len() * width];
     match values {
         ColumnData::F64(v) => {
-            kernels::accumulate_cells_f64(&mut cells, &row_group, &slot_of_row, &v[..])
+            kernels::accumulate_cells_f64(&mut cells, width, &row_group, &slot_of_row, &v[..])
         }
         ColumnData::I64(v) => {
-            kernels::accumulate_cells_i64(&mut cells, &row_group, &slot_of_row, &v[..])
+            kernels::accumulate_cells_i64(&mut cells, width, &row_group, &slot_of_row, &v[..])
         }
         _ => {
             return Err(PipelineError::TypeMismatch {
@@ -263,7 +261,9 @@ pub fn pivot<S: AsRef<str>>(
         })
         .collect();
     for (p, name) in distinct.iter().enumerate() {
-        let col: Vec<f64> = cells.iter().map(|row| row[p].get(agg)).collect();
+        let col: Vec<f64> = (0..representative.len())
+            .map(|g| cells[g * width + p].get(agg))
+            .collect();
         out.push((name.clone(), ColumnData::F64(col.into())));
     }
     Frame::new(out)

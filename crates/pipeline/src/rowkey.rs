@@ -11,7 +11,10 @@
 //!
 //! [`GroupTable`] maps keys to dense group ids in first-occurrence
 //! order. Every grouping operator (`ops::group_by`, `ops::pivot`,
-//! `ops::join_inner`) assigns ids through it.
+//! `ops::join_inner`) assigns ids through it, except that
+//! [`KeyCols::group_ids`] first tries a direct-indexed path: when every
+//! key column is an integer or categorical column whose value span is
+//! small, each row maps to a slot in a plain array and no key is hashed.
 
 use crate::frame::Frame;
 use oda_storage::colfile::ColumnData;
@@ -221,6 +224,154 @@ impl<'a> KeyCols<'a> {
             parts => RowKey::Many(parts.iter().map(|p| p.word(row)).collect()),
         }
     }
+
+    /// Number rows `0..rows` in row order — each row's group id and each
+    /// group's first row — exactly as [`GroupTable::assign`] does, taking
+    /// the direct-indexed path ([`dense_ids`]) when the key space allows.
+    pub(crate) fn group_ids(&self, rows: usize) -> (Vec<usize>, Vec<usize>) {
+        dense_ids(self, rows).unwrap_or_else(|| GroupTable::new().assign(self, rows))
+    }
+}
+
+/// Most slots the direct-indexed path allocates per input row.
+const DENSE_SLOTS_PER_ROW: u64 = 4;
+
+/// One key column mapped onto `0..card`.
+enum DenseCol<'a> {
+    /// `(v - min) / step`; every value is `min` plus a multiple of `step`.
+    I64 {
+        vals: &'a [i64],
+        min: i64,
+        step: u64,
+    },
+    /// Categorical codes, used as they are.
+    Codes(&'a [u32]),
+}
+
+/// Min, the gcd of the differences between consecutive distinct values,
+/// and the number of steps the range spans; `None` when `max − min`
+/// overflows an `i64`. One pass; equal neighbours skip all the
+/// arithmetic.
+fn i64_span(vals: &[i64]) -> Option<(i64, u64, u64)> {
+    let (&first, rest) = vals.split_first()?;
+    let (mut lo, mut hi, mut prev, mut step) = (first, first, first, 0u64);
+    for &v in rest {
+        if v != prev {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            if step != 1 {
+                step = gcd(step, v.abs_diff(prev));
+            }
+            prev = v;
+        }
+    }
+    let step = step.max(1);
+    Some((lo, step, hi.checked_sub(lo)? as u64 / step + 1))
+}
+
+/// Binary gcd: shifts and subtractions, no division.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Direct-indexed group ids: `Some` with exactly what
+/// [`GroupTable::assign`] returns, or `None` when the key space is not
+/// small enough.
+///
+/// Each key column gets a cardinality — the largest code + 1 for
+/// categorical columns, `(max − min) / step + 1` for `I64` columns — and
+/// a row's slot is the mixed-radix number of its per-column indexes, so
+/// distinct keys get distinct slots. Ids are handed out from the slots in
+/// first-occurrence order, which makes them identical to the table's.
+/// Falls back (`None`) on any `F64` column, a range that overflows, or a
+/// slot count above [`DENSE_SLOTS_PER_ROW`] × `rows` or `u32::MAX`.
+pub(crate) fn dense_ids(keys: &KeyCols, rows: usize) -> Option<(Vec<usize>, Vec<usize>)> {
+    if rows == 0 {
+        return Some((Vec::new(), Vec::new()));
+    }
+    let cap = (rows as u64)
+        .saturating_mul(DENSE_SLOTS_PER_ROW)
+        .min(u64::from(u32::MAX) - 1);
+    let mut cols = Vec::with_capacity(keys.parts.len());
+    let mut slots = 1u64;
+    for part in &keys.parts {
+        let (col, card) = match part {
+            KeyPart::F64(_) => return None,
+            KeyPart::I64(v) => {
+                let vals = &v[..rows];
+                let (min, step, card) = i64_span(vals)?;
+                (DenseCol::I64 { vals, min, step }, card)
+            }
+            KeyPart::Codes(c) => (DenseCol::Codes(&c[..rows]), codes_card(&c[..rows])),
+            KeyPart::Owned(c) => (DenseCol::Codes(&c[..rows]), codes_card(&c[..rows])),
+        };
+        slots = slots.checked_mul(card).filter(|&s| s <= cap)?;
+        cols.push((col, card as usize));
+    }
+
+    // Each row's slot, one column at a time.
+    let mut row_group = vec![0usize; rows];
+    let mut stride = 1usize;
+    for (col, card) in &cols {
+        match *col {
+            DenseCol::I64 { vals, min, step: 1 } => {
+                for (s, &v) in row_group.iter_mut().zip(vals) {
+                    *s += (v - min) as usize * stride;
+                }
+            }
+            DenseCol::I64 { vals, min, step } => {
+                // Divide only when the value changes.
+                let mut prev = min;
+                let mut add = 0usize;
+                for (s, &v) in row_group.iter_mut().zip(vals) {
+                    if v != prev {
+                        prev = v;
+                        add = ((v - min) as u64 / step) as usize * stride;
+                    }
+                    *s += add;
+                }
+            }
+            DenseCol::Codes(codes) => {
+                for (s, &c) in row_group.iter_mut().zip(codes) {
+                    *s += c as usize * stride;
+                }
+            }
+        }
+        stride *= card;
+    }
+
+    // Slots to ids in first-occurrence order.
+    let mut id_of_slot = vec![u32::MAX; slots as usize];
+    let mut first_rows = Vec::new();
+    for (row, s) in row_group.iter_mut().enumerate() {
+        let id = &mut id_of_slot[*s];
+        if *id == u32::MAX {
+            *id = first_rows.len() as u32;
+            first_rows.push(row);
+        }
+        *s = *id as usize;
+    }
+    Some((row_group, first_rows))
+}
+
+/// Cardinality of a code column: its largest code + 1 (at most the
+/// dictionary length).
+fn codes_card(codes: &[u32]) -> u64 {
+    codes.iter().max().map_or(1, |&m| u64::from(m) + 1)
 }
 
 /// Key extractors for a hash join: the two sides must agree on what a
@@ -297,6 +448,7 @@ fn rendered_codes<'a>(col: &ColumnData, shared: &mut StringInterner) -> KeyPart<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     fn frame() -> Frame {
@@ -472,5 +624,209 @@ mod tests {
         assert!(matches!(kc.key(0), RowKey::Many(_)));
         assert_eq!(kc.key(0), kc.key(0));
         assert_ne!(kc.key(0), kc.key(1));
+    }
+
+    /// The dense ids of every key column of `f`, checked against the
+    /// table's; `true` when the dense path was taken.
+    fn dense_matches_table(f: &Frame) -> bool {
+        let cols: Vec<usize> = (0..f.names().len()).collect();
+        let kc = KeyCols::of(f, &cols);
+        let table = GroupTable::new().assign(&kc, f.rows());
+        match dense_ids(&kc, f.rows()) {
+            Some(dense) => {
+                assert_eq!(dense, table);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The Silver group-by key: 4 windows 15 000 ms apart × 512 nodes ×
+    /// 21 sensor codes, every row once. Without the gcd step the window
+    /// alone would span 45 001 values and the product would blow the cap.
+    #[test]
+    fn silver_key_shape_takes_the_dense_path() {
+        let sensors: Vec<String> = (0..21).map(|s| format!("s{s}")).collect();
+        let (mut window, mut node, mut sensor) = (Vec::new(), Vec::new(), Vec::new());
+        for w in 0..4i64 {
+            for n in 0..512i64 {
+                for s in 0..21u32 {
+                    window.push(1_700_000_010_000 + w * 15_000);
+                    node.push(n);
+                    sensor.push((s * 5 + n as u32) % 21);
+                }
+            }
+        }
+        let f = Frame::new(vec![
+            ("window".into(), ColumnData::I64(window.into())),
+            ("node".into(), ColumnData::I64(node.into())),
+            ("sensor".into(), ColumnData::dict(sensors, sensor)),
+        ])
+        .unwrap();
+        assert!(dense_matches_table(&f), "the Silver key must not fall back");
+        let (ids, firsts) = KeyCols::of(&f, &[0, 1, 2]).group_ids(f.rows());
+        assert_eq!(firsts.len(), 4 * 512 * 21);
+        assert_eq!(ids, (0..f.rows()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn key_space_over_the_cap_falls_back() {
+        // Two columns of 30 values each: 900 slots for 200 rows > 4 × 200.
+        let a: Vec<i64> = (0..200).map(|i| i % 30).collect();
+        let b: Vec<i64> = (0..200).map(|i| (i * 7) % 30).collect();
+        let f = Frame::new(vec![
+            ("a".into(), ColumnData::I64(a.into())),
+            ("b".into(), ColumnData::I64(b.into())),
+        ])
+        .unwrap();
+        assert!(!dense_matches_table(&f));
+        // One column of 30 values over the same rows is well inside it.
+        assert!(dense_matches_table(&f.select(&["a"]).unwrap()));
+    }
+
+    #[test]
+    fn extreme_and_float_keys_fall_back() {
+        let f = Frame::new(vec![(
+            "i".into(),
+            ColumnData::I64(vec![i64::MIN, i64::MAX, 0, i64::MIN].into()),
+        )])
+        .unwrap();
+        assert!(!dense_matches_table(&f), "a full-width range must not wrap");
+        let f = Frame::new(vec![("f".into(), ColumnData::F64(vec![1.0, 1.0].into()))]).unwrap();
+        assert!(!dense_matches_table(&f));
+    }
+
+    #[test]
+    fn gcd_matches_euclid() {
+        fn euclid(a: u64, b: u64) -> u64 {
+            if b == 0 {
+                a
+            } else {
+                euclid(b, a % b)
+            }
+        }
+        for a in [
+            0u64,
+            1,
+            2,
+            6,
+            15_000,
+            45_000,
+            1 << 40,
+            u64::MAX,
+            u64::MAX - 1,
+        ] {
+            for b in [0u64, 1, 3, 4, 30_000, 1 << 63, u64::MAX] {
+                assert_eq!(gcd(a, b), euclid(a, b), "gcd({a}, {b})");
+            }
+        }
+    }
+
+    /// One generated key column.
+    #[derive(Debug, Clone)]
+    enum GenCol {
+        /// `base + step × k` for each `k`.
+        Stepped(i64, i64, Vec<u8>),
+        /// Values drawn from the two extremes and around zero; a range wider
+        /// than `i64::MAX` must fall back.
+        Extremes(Vec<u8>),
+        /// Dictionary codes below `len`.
+        Dict(u32, Vec<u8>),
+        /// Strings drawn from a small vocabulary.
+        Str(Vec<u8>),
+        /// Floats drawn from a small set.
+        F64(Vec<u8>),
+    }
+
+    impl GenCol {
+        fn column(&self, rows: usize) -> ColumnData {
+            let picks = |p: &[u8]| -> Vec<u8> { (0..rows).map(|r| p[r % p.len()]).collect() };
+            match self {
+                GenCol::Stepped(base, step, p) => ColumnData::I64(
+                    picks(p)
+                        .iter()
+                        .map(|&k| base + step * i64::from(k % 12))
+                        .collect(),
+                ),
+                GenCol::Extremes(p) => ColumnData::I64(
+                    picks(p)
+                        .iter()
+                        .map(|&k| [i64::MIN, i64::MAX, -1, 0, 1][usize::from(k % 5)])
+                        .collect(),
+                ),
+                GenCol::Dict(len, p) => ColumnData::dict(
+                    (0..*len).map(|e| format!("e{e}")).collect(),
+                    picks(p).iter().map(|&k| u32::from(k) % len).collect(),
+                ),
+                GenCol::Str(p) => ColumnData::Str(
+                    picks(p)
+                        .iter()
+                        .map(|&k| format!("v{}", k % 7))
+                        .collect::<Vec<_>>()
+                        .into(),
+                ),
+                GenCol::F64(p) => {
+                    ColumnData::F64(picks(p).iter().map(|&k| f64::from(k % 3) * 0.5).collect())
+                }
+            }
+        }
+
+        fn may_be_dense(&self, rows: usize) -> bool {
+            match self {
+                GenCol::F64(_) => rows == 0,
+                GenCol::Extremes(_) => {
+                    let ColumnData::I64(v) = self.column(rows) else {
+                        unreachable!()
+                    };
+                    let (lo, hi) = (v.iter().min(), v.iter().max());
+                    lo.zip(hi)
+                        .is_none_or(|(lo, hi)| hi.checked_sub(*lo).is_some())
+                }
+                _ => true,
+            }
+        }
+    }
+
+    /// A column of a kind picked by a selector byte (the offline
+    /// proptest has no `prop_oneof`).
+    fn gen_col() -> impl Strategy<Value = GenCol> {
+        (
+            0u8..5,
+            -1_000_000_000_000i64..1_000_000_000_000,
+            -50_000i64..50_000,
+            1u32..40,
+            proptest::collection::vec(any::<u8>(), 1..40),
+        )
+            .prop_map(|(kind, base, step, len, p)| match kind {
+                0 => GenCol::Stepped(base, step, p),
+                1 => GenCol::Extremes(p),
+                2 => GenCol::Dict(len, p),
+                3 => GenCol::Str(p),
+                _ => GenCol::F64(p),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whenever the dense path is taken its ids and first rows are the
+        /// table's; float keys and full-width ranges always fall back.
+        #[test]
+        fn dense_ids_equal_group_table(
+            cols in proptest::collection::vec(gen_col(), 1..=4),
+            rows in (0u8..4, 2usize..400).prop_map(|(k, n)| [0, 1, n, n][usize::from(k)]),
+        ) {
+            let f = Frame::new(
+                cols.iter()
+                    .enumerate()
+                    .map(|(i, c)| (format!("k{i}"), c.column(rows)))
+                    .collect(),
+            )
+            .unwrap();
+            let dense = dense_matches_table(&f);
+            if cols.iter().any(|c| !c.may_be_dense(rows)) {
+                prop_assert!(!dense, "{:?} must fall back", cols);
+            }
+        }
     }
 }

@@ -35,7 +35,19 @@ pub fn assign_window_as(
         )));
     }
     let ts = frame.i64s(ts_col)?;
-    let windows: Vec<i64> = ts.iter().map(|&t| window_start(t, width_ms)).collect();
+    // Rows of one tick share a timestamp: divide only when it changes.
+    let mut last = None;
+    let windows: Vec<i64> = ts
+        .iter()
+        .map(|&t| match last {
+            Some((prev, w)) if prev == t => w,
+            _ => {
+                let w = window_start(t, width_ms);
+                last = Some((t, w));
+                w
+            }
+        })
+        .collect();
     let mut out = frame.clone();
     out.push_column(out_col, ColumnData::I64(windows.into()))?;
     Ok(out)

@@ -192,12 +192,14 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
                             "match of {len} bytes overruns the declared length {expected_len}"
                         )));
                     }
-                    let len = len as usize;
-                    // Byte-by-byte to support overlapping copies.
+                    // An overlapping match repeats the last `dist` bytes:
+                    // copy whole periods from `start`, each copy at most
+                    // doubling what there is to copy from.
                     let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
+                    let end = out.len() + len as usize;
+                    while out.len() < end {
+                        let n = (end - out.len()).min(out.len() - start);
+                        out.extend_from_within(start..start + n);
                     }
                 }
             }
@@ -282,6 +284,27 @@ mod tests {
         let c = compress(&input);
         assert_eq!(decompress(&c).unwrap(), input);
         assert!(c.len() < 100);
+    }
+
+    #[test]
+    fn matches_copy_exactly_what_a_byte_loop_copies() {
+        for dist in 1..=10usize {
+            for len in 0..=40usize {
+                let literal = b"abcdefghij";
+                let mut stream = vec![0x01];
+                put_varint(&mut stream, (literal.len() + len) as u64);
+                stream.push(literal.len() as u8 - 1);
+                stream.extend_from_slice(literal);
+                stream.push(0x80);
+                put_varint(&mut stream, len as u64);
+                put_varint(&mut stream, dist as u64);
+                let mut want = literal.to_vec();
+                for _ in 0..len {
+                    want.push(want[want.len() - dist]);
+                }
+                assert_eq!(decompress(&stream).unwrap(), want, "dist {dist}, len {len}");
+            }
+        }
     }
 
     #[test]
