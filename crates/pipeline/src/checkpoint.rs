@@ -10,12 +10,11 @@
 use crate::error::PipelineError;
 use oda_faults::{FaultKind, FaultPoint, FaultSite};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One committed checkpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// Micro-batch epoch (0-based, dense).
     pub epoch: u64,

@@ -1,22 +1,25 @@
 //! Versioned keyed state for streaming aggregations.
 //!
-//! Streaming Bronze→Silver keeps per-(window, key) accumulators between
-//! micro-batches; the state store snapshots to bytes so checkpoints can
-//! persist it and recovery can restore it bit-for-bit.
+//! Streaming Bronze→Silver keeps per-(window, node, sensor) accumulators
+//! between micro-batches; the state store snapshots to bytes so
+//! checkpoints can persist it and recovery can restore it bit-for-bit.
 //!
-//! Keys are strings, but only at the edges: [`StateStore::key_id`]
-//! interns each distinct key once into a dense [`KeyId`], and cells live
-//! in key-id-indexed storage, so folding an observation through
-//! [`StateStore::cell_at`] neither allocates, hashes, nor compares
-//! strings. Snapshots are a versioned binary layout (see
+//! A key is the (node, sensor) pair it stands for, and the store owns
+//! the index from pair to cell: each sensor name is interned once into a
+//! dense code, each pair once into a dense key id, and every node keeps
+//! its keys as (sensor code, key id) sorted by code. Folding an
+//! observation is a search of that short list and of the key's few open
+//! windows, so it neither allocates (unless the cell is new) nor touches
+//! a string. Snapshots are a versioned binary layout (see
 //! [`StateStore::snapshot`]).
 
+use oda_storage::intern::StringInterner;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// Accumulator for one (window, key) cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellState {
+pub(crate) struct CellState {
     /// Sum of non-NaN values.
     pub sum: f64,
     /// Count of non-NaN values.
@@ -40,11 +43,6 @@ impl Default for CellState {
 }
 
 impl CellState {
-    /// Fresh accumulator.
-    pub fn new() -> CellState {
-        CellState::default()
-    }
-
     /// Fold one value (NaN ignored).
     pub fn push(&mut self, v: f64) {
         if v.is_nan() {
@@ -64,32 +62,24 @@ impl CellState {
             self.sum / self.count as f64
         }
     }
-
-    /// Merge another accumulator in.
-    pub fn merge(&mut self, other: &CellState) {
-        self.sum += other.sum;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
-/// Dense id of an interned state key. Ids count up from zero in
-/// first-intern order and are meaningful only to the store that issued
-/// them (or to a store restored from that store's snapshot, which
-/// reproduces the numbering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct KeyId(u32);
+/// Dense id of an interned (node, sensor) key. Ids count up from zero
+/// in first-intern order and are meaningful only to the store that
+/// issued them (or to a store restored from that store's snapshot,
+/// which reproduces the numbering).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct KeyId(u32);
 
 impl KeyId {
     /// Position of this key in id-indexed tables.
-    pub(crate) fn index(self) -> usize {
+    fn index(self) -> usize {
         self.0 as usize
     }
 }
 
-/// Keyed state: `(window_start, key) -> CellState` plus arbitrary
-/// counters.
+/// Keyed state: `(window start, node, sensor) -> CellState`, plus the
+/// Silver watermark and gap cursor.
 ///
 /// Every field is a pure function of the operation history (which keys
 /// were interned in which order, which cells hold what), never of
@@ -97,25 +87,37 @@ impl KeyId {
 /// equal snapshot bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StateStore {
-    /// `KeyId` -> key, in first-intern order.
-    names: Vec<Arc<str>>,
-    /// key -> `KeyId` (sharing the allocation in `names`).
-    ids: HashMap<Arc<str>, KeyId>,
-    /// Every key id, sorted by key bytes: the emission order within a
-    /// window.
+    /// Sensor code -> name, in first-intern order.
+    sensors: StringInterner,
+    /// Key id -> (node, sensor code), in first-intern order.
+    keys: Vec<(i64, u32)>,
+    /// Node -> its row of `nodes`.
+    node_rows: HashMap<i64, usize>,
+    /// Per node, in the order of its first key: the node and its keys as
+    /// (sensor code, key id), ascending by code.
+    nodes: Vec<(i64, Vec<(u32, KeyId)>)>,
+    /// Every key id, sorted by (node's decimal text, sensor name): the
+    /// emission order within a window.
     order: Vec<KeyId>,
-    /// `KeyId` -> that key's open windows, ascending by window start.
+    /// Key id -> that key's open windows, ascending by window start.
     cells: Vec<Vec<(i64, CellState)>>,
     /// Open window start -> live cells in it.
     windows: BTreeMap<i64, usize>,
-    /// Free-form named counters (rows seen, windows emitted, ...).
-    counters: BTreeMap<String, u64>,
+    /// Event-time watermark: the largest timestamp folded (0 before any).
+    pub(crate) wm_ms: i64,
+    /// Next window start owed a gap sweep over every key (`None` until
+    /// gap-marked Silver sees its first window).
+    pub(crate) gap_next: Option<i64>,
 }
 
 const MAGIC: &[u8; 4] = b"ODAS";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+/// Encoded size of one key: node, sensor code.
+const KEY_BYTES: usize = 8 + 4;
 /// Encoded size of one cell: window, key id, sum, count, min, max.
 const CELL_BYTES: usize = 8 + 4 + 8 + 8 + 8 + 8;
+/// Encoded size of the tail: watermark, gap cursor flag and window.
+const TAIL_BYTES: usize = 8 + 1 + 8;
 
 impl StateStore {
     /// Empty store.
@@ -123,41 +125,77 @@ impl StateStore {
         StateStore::default()
     }
 
-    /// Intern `key`, returning its dense id (stable for the life of the
-    /// store and across snapshot/restore).
-    pub fn key_id(&mut self, key: &str) -> KeyId {
-        if let Some(&id) = self.ids.get(key) {
-            return id;
-        }
-        let id = KeyId(u32::try_from(self.names.len()).expect("fewer than 2^32 state keys"));
+    /// Code of sensor `name`, interned on first sight.
+    pub(crate) fn sensor_code(&mut self, name: &str) -> u32 {
+        self.sensors.intern(name)
+    }
+
+    /// The name behind a sensor code this store issued.
+    pub(crate) fn sensor_name(&self, code: u32) -> &str {
+        &self.sensors.entries()[code as usize]
+    }
+
+    /// `node`'s row of the key index, for [`StateStore::key_id`]. A new
+    /// node gets its row here; callers intern a key into it straight
+    /// away, so every row holds a key, as every restored row does.
+    pub(crate) fn node_row(&mut self, node: i64) -> usize {
+        *self.node_rows.entry(node).or_insert_with(|| {
+            self.nodes.push((node, Vec::new()));
+            self.nodes.len() - 1
+        })
+    }
+
+    /// Id of the key (the node of `row`, `sensor`), interned on first
+    /// sight: a binary search of that node's keys, with no allocation
+    /// unless the key is new.
+    pub(crate) fn key_id(&mut self, row: usize, sensor: u32) -> KeyId {
+        let (node, keys) = &mut self.nodes[row];
+        let at = match keys.binary_search_by_key(&sensor, |&(s, _)| s) {
+            Ok(at) => return keys[at].1,
+            Err(at) => at,
+        };
+        let id = KeyId(u32::try_from(self.keys.len()).expect("fewer than 2^32 state keys"));
+        keys.insert(at, (sensor, id));
+        self.keys.push((*node, sensor));
+        self.cells.push(Vec::new());
         let at = self
             .order
-            .partition_point(|k| *self.names[k.index()] < *key);
+            .partition_point(|&k| self.key_order(k, id).is_lt());
         self.order.insert(at, id);
-        let key: Arc<str> = key.into();
-        self.names.push(Arc::clone(&key));
-        self.ids.insert(key, id);
-        self.cells.push(Vec::new());
         id
     }
 
-    /// The key `id` was interned from (`None` for an id this store
-    /// never issued). The allocation is the store's own for as long as
-    /// it lives, so a caller caching per-key work can hold a clone and
-    /// later ask, by pointer, whether `id` still means that key here.
-    pub fn key_name(&self, id: KeyId) -> Option<&Arc<str>> {
-        self.names.get(id.index())
+    /// The (node, sensor code) `id` was interned as.
+    pub(crate) fn key(&self, id: KeyId) -> (i64, u32) {
+        self.keys[id.index()]
+    }
+
+    /// Every key id in emission order.
+    pub(crate) fn keys_in_order(&self) -> &[KeyId] {
+        &self.order
+    }
+
+    /// Emission order: by the node's decimal text, then by sensor name —
+    /// the byte order of "node text, unit separator, sensor name" that
+    /// Silver's bytes are pinned to, so node `10` sorts before node `2`.
+    /// Rendering into stack buffers keeps it free of allocation.
+    fn key_order(&self, a: KeyId, b: KeyId) -> Ordering {
+        let ((node_a, sensor_a), (node_b, sensor_b)) = (self.key(a), self.key(b));
+        let (mut buf_a, mut buf_b) = ([0; 20], [0; 20]);
+        decimal(node_a, &mut buf_a)
+            .cmp(decimal(node_b, &mut buf_b))
+            .then_with(|| self.sensor_name(sensor_a).cmp(self.sensor_name(sensor_b)))
     }
 
     /// Mutable accumulator for a (window, key id) cell: the per-row
     /// path. Indexes by id and searches that key's few open windows —
     /// no allocation unless the cell is new.
-    pub fn cell_at(&mut self, window: i64, key: KeyId) -> &mut CellState {
+    pub(crate) fn cell_at(&mut self, window: i64, key: KeyId) -> &mut CellState {
         let open = &mut self.cells[key.index()];
         let at = match open.binary_search_by_key(&window, |&(w, _)| w) {
             Ok(at) => at,
             Err(at) => {
-                open.insert(at, (window, CellState::new()));
+                open.insert(at, (window, CellState::default()));
                 *self.windows.entry(window).or_insert(0) += 1;
                 at
             }
@@ -165,22 +203,10 @@ impl StateStore {
         &mut open[at].1
     }
 
-    /// Mutable accumulator for a (window, key) cell.
-    pub fn cell(&mut self, window: i64, key: &str) -> &mut CellState {
-        let id = self.key_id(key);
-        self.cell_at(window, id)
-    }
-
-    /// Read-only view of a cell.
-    pub fn get_cell(&self, window: i64, key: &str) -> Option<&CellState> {
-        let open = &self.cells[self.ids.get(key)?.index()];
-        let at = open.binary_search_by_key(&window, |&(w, _)| w).ok()?;
-        Some(&open[at].1)
-    }
-
     /// Remove and return every cell with `window < horizon` (windows the
-    /// watermark has closed), ordered by window and then by key bytes.
-    pub fn drain_closed(&mut self, horizon: i64) -> Vec<(i64, KeyId, CellState)> {
+    /// watermark has closed), ordered by window and then in emission
+    /// order.
+    pub(crate) fn drain_closed(&mut self, horizon: i64) -> Vec<(i64, KeyId, CellState)> {
         let open = self.windows.split_off(&horizon);
         let closed = std::mem::replace(&mut self.windows, open);
         if closed.is_empty() {
@@ -195,26 +221,6 @@ impl StateStore {
         // Stable: rows were produced in key order, so each window keeps it.
         out.sort_by_key(|&(w, _, _)| w);
         out
-    }
-
-    /// Increment a named counter.
-    pub fn bump(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Read a named counter.
-    pub fn counter(&self, name: &str) -> u64 {
-        *self.counters.get(name).unwrap_or(&0)
-    }
-
-    /// Counters whose name starts with `prefix`, in name order (used by
-    /// gap-aware Silver to keep a roster of seen sensor keys).
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
     }
 
     /// Number of live cells.
@@ -232,23 +238,27 @@ impl StateStore {
     /// patterns:
     ///
     /// ```text
-    /// magic "ODAS" | version u32 = 1
-    /// key count u32     | per key, in id order:  len u32, UTF-8 bytes
-    /// cell count u32    | per cell, by (key id, window):
-    ///                   |   window i64, key id u32, sum, count u64, min, max
-    /// counter count u32 | per counter, in name order: len u32, UTF-8 bytes, value u64
+    /// magic "ODAS" | version u32 = 2
+    /// sensor count u32 | per sensor, in code order: len u32, UTF-8 bytes
+    /// key count u32    | per key, in id order: node i64, sensor code u32
+    /// cell count u32   | per cell, by (key id, window):
+    ///                  |   window i64, key id u32, sum, count u64, min, max
+    /// watermark i64
+    /// gap cursor       | set u8 (0 or 1), window i64 (0 when unset)
     /// checksum u64 over every preceding byte
     /// ```
     pub fn snapshot(&self) -> Vec<u8> {
         let cells = self.len();
+        let sensors = self.sensors.entries();
         let size = MAGIC.len()
             + 4
             + 4
-            + self.names.iter().map(|k| 4 + k.len()).sum::<usize>()
+            + sensors.iter().map(|s| 4 + s.len()).sum::<usize>()
+            + 4
+            + self.keys.len() * KEY_BYTES
             + 4
             + cells * CELL_BYTES
-            + 4
-            + self.counters.keys().map(|k| 4 + k.len() + 8).sum::<usize>()
+            + TAIL_BYTES
             + 8;
         let mut out = Vec::with_capacity(size);
         let put_len = |out: &mut Vec<u8>, n: usize| {
@@ -257,10 +267,15 @@ impl StateStore {
         };
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
-        put_len(&mut out, self.names.len());
-        for name in &self.names {
+        put_len(&mut out, sensors.len());
+        for name in sensors {
             put_len(&mut out, name.len());
             out.extend_from_slice(name.as_bytes());
+        }
+        put_len(&mut out, self.keys.len());
+        for (node, sensor) in &self.keys {
+            out.extend_from_slice(&node.to_le_bytes());
+            out.extend_from_slice(&sensor.to_le_bytes());
         }
         put_len(&mut out, cells);
         for (id, open) in self.cells.iter().enumerate() {
@@ -273,12 +288,9 @@ impl StateStore {
                 out.extend_from_slice(&cell.max.to_bits().to_le_bytes());
             }
         }
-        put_len(&mut out, self.counters.len());
-        for (name, value) in &self.counters {
-            put_len(&mut out, name.len());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&value.to_le_bytes());
-        }
+        out.extend_from_slice(&self.wm_ms.to_le_bytes());
+        out.push(u8::from(self.gap_next.is_some()));
+        out.extend_from_slice(&self.gap_next.unwrap_or(0).to_le_bytes());
         let sum = checksum(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         debug_assert_eq!(out.len(), size);
@@ -288,10 +300,13 @@ impl StateStore {
     /// Restore from a snapshot. Total: any input [`StateStore::snapshot`]
     /// could not have produced — wrong magic, version or checksum, a
     /// count or length that overruns the remaining bytes (checked before
-    /// anything is allocated for it), invalid UTF-8, a duplicate key or
-    /// counter, a key id outside the key table, cells or counters out of
-    /// order, trailing bytes — yields `None`. What it accepts it
-    /// reproduces exactly: `snapshot(restore(b)) == b`.
+    /// anything is allocated for it), invalid UTF-8, a duplicate sensor
+    /// name or (node, sensor) key, a sensor code outside the sensor
+    /// table or a key id outside the key table, cells out of order, a
+    /// gap cursor flag other than 0 or 1 (or 0 with a window), trailing
+    /// bytes — yields `None`. What it accepts it reproduces exactly:
+    /// `snapshot(restore(b)) == b`. Everything it allocates is bounded by
+    /// a constant times the input length.
     pub fn restore(bytes: &[u8]) -> Option<StateStore> {
         let (body, sum) = bytes.split_at_checked(bytes.len().checked_sub(8)?)?;
         if u64::from_le_bytes(sum.try_into().ok()?) != checksum(body) {
@@ -302,26 +317,35 @@ impl StateStore {
             return None;
         }
         let mut store = StateStore::new();
-        // Every key costs at least its length prefix.
-        let keys = r.count(4)?;
-        store.names.reserve_exact(keys);
-        store.cells.reserve_exact(keys);
-        for id in 0..keys {
-            let name: Arc<str> = r.str()?.into();
-            if store
-                .ids
-                .insert(Arc::clone(&name), KeyId(id as u32))
-                .is_some()
-            {
+        // Every sensor costs at least its length prefix; a duplicate
+        // name interns to an earlier code.
+        for code in 0..r.count(4)? {
+            if store.sensors.intern(r.str()?) as usize != code {
                 return None;
             }
-            store.names.push(name);
+        }
+        let keys = r.count(KEY_BYTES)?;
+        store.keys.reserve_exact(keys);
+        store.cells.reserve_exact(keys);
+        for id in 0..keys {
+            let (node, sensor) = (r.u64()? as i64, r.u32()?);
+            if sensor as usize >= store.sensors.len() {
+                return None;
+            }
+            let row = store.node_row(node);
+            store.nodes[row].1.push((sensor, KeyId(id as u32)));
+            store.keys.push((node, sensor));
             store.cells.push(Vec::new());
         }
-        store.order = (0..keys as u32).map(KeyId).collect();
-        store
-            .order
-            .sort_unstable_by(|a, b| store.names[a.index()].cmp(&store.names[b.index()]));
+        for (_, keys) in &mut store.nodes {
+            keys.sort_unstable();
+            if keys.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+                return None;
+            }
+        }
+        let mut order: Vec<KeyId> = (0..keys as u32).map(KeyId).collect();
+        order.sort_unstable_by(|&a, &b| store.key_order(a, b));
+        store.order = order;
         let mut last: Option<(u32, i64)> = None;
         for _ in 0..r.count(CELL_BYTES)? {
             let window = r.u64()? as i64;
@@ -339,19 +363,33 @@ impl StateStore {
             store.cells.get_mut(id as usize)?.push((window, cell));
             *store.windows.entry(window).or_insert(0) += 1;
         }
-        for _ in 0..r.count(4 + 8)? {
-            let name = r.str()?.to_string();
-            if store
-                .counters
-                .last_key_value()
-                .is_some_and(|(l, _)| *l >= name)
-            {
-                return None;
-            }
-            store.counters.insert(name, r.u64()?);
-        }
+        store.wm_ms = r.u64()? as i64;
+        store.gap_next = match (r.take(1)?, r.u64()? as i64) {
+            ([0], 0) => None,
+            ([1], window) => Some(window),
+            _ => return None,
+        };
         r.0.is_empty().then_some(store)
     }
+}
+
+/// `n` in decimal, rendered into the end of `buf` without allocating.
+fn decimal(n: i64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
 }
 
 /// Bounds-checked cursor over untrusted snapshot bytes.
@@ -412,9 +450,29 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Key id of (`node`, `sensor`), interned on first sight.
+    fn key(s: &mut StateStore, node: i64, sensor: &str) -> KeyId {
+        let (row, sensor) = (s.node_row(node), s.sensor_code(sensor));
+        s.key_id(row, sensor)
+    }
+
+    fn cell<'a>(s: &'a mut StateStore, window: i64, node: i64, sensor: &str) -> &'a mut CellState {
+        let id = key(s, node, sensor);
+        s.cell_at(window, id)
+    }
+
+    /// Read-only view of a cell, interning nothing.
+    fn get(s: &StateStore, window: i64, node: i64, sensor: &str) -> Option<CellState> {
+        let code = s.sensors.lookup(sensor)?;
+        let id = s.keys.iter().position(|&k| k == (node, code))?;
+        let open = &s.cells[id];
+        let at = open.binary_search_by_key(&window, |&(w, _)| w).ok()?;
+        Some(open[at].1)
+    }
+
     #[test]
     fn cell_accumulates_and_ignores_nan() {
-        let mut c = CellState::new();
+        let mut c = CellState::default();
         c.push(1.0);
         c.push(f64::NAN);
         c.push(3.0);
@@ -425,85 +483,70 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines() {
-        let mut a = CellState::new();
-        a.push(1.0);
-        let mut b = CellState::new();
-        b.push(5.0);
-        a.merge(&b);
-        assert_eq!(a.count, 2);
-        assert_eq!(a.sum, 6.0);
-        assert_eq!(a.max, 5.0);
-    }
-
-    #[test]
     fn drain_closed_removes_only_old_windows() {
         let mut s = StateStore::new();
-        s.cell(0, "a").push(1.0);
-        s.cell(0, "b").push(2.0);
-        s.cell(15_000, "a").push(3.0);
+        cell(&mut s, 0, 1, "a").push(1.0);
+        cell(&mut s, 0, 1, "b").push(2.0);
+        cell(&mut s, 15_000, 1, "a").push(3.0);
         let closed = s.drain_closed(15_000);
         assert_eq!(closed.len(), 2);
         assert!(closed.iter().all(|&(w, _, _)| w == 0));
         assert_eq!(s.len(), 1);
-        assert!(s.get_cell(15_000, "a").is_some());
-        assert!(s.get_cell(0, "a").is_none());
+        assert!(get(&s, 15_000, 1, "a").is_some());
+        assert!(get(&s, 0, 1, "a").is_none());
     }
 
     #[test]
-    fn key_ids_are_dense_stable_and_name_the_key() {
+    fn key_ids_are_dense_stable_and_name_the_pair() {
         let mut s = StateStore::new();
-        let b = s.key_id("b");
-        let a = s.key_id("a");
-        assert_eq!((b, a), (KeyId(0), KeyId(1)));
-        assert_eq!(s.key_id("b"), b, "re-interning returns the same id");
-        assert_eq!(s.key_name(a).map(|k| &**k), Some("a"));
-        assert!(StateStore::new().key_name(a).is_none());
-        s.cell_at(0, a).push(2.0);
-        assert_eq!(s.get_cell(0, "a").unwrap().sum, 2.0);
-        assert_eq!(s.cell(0, "a").count, 1, "cell() is cell_at() by name");
+        let b = key(&mut s, 7, "b");
+        let a = key(&mut s, 7, "a");
+        let c = key(&mut s, 10, "a");
+        assert_eq!((b, a, c), (KeyId(0), KeyId(1), KeyId(2)));
+        assert_eq!(key(&mut s, 7, "b"), b, "re-interning returns the same id");
+        assert_eq!(s.key(c), (10, s.sensor_code("a")));
+        assert_eq!(s.sensor_name(s.key(b).1), "b");
+        // "10" sorts before "7" as text.
+        assert_eq!(s.keys_in_order(), [c, a, b]);
+    }
+
+    #[test]
+    fn decimal_renders_like_format() {
+        for n in [0, 7, -7, 10, 100, -100, i64::MAX, i64::MIN] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string().as_bytes());
+        }
     }
 
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut s = StateStore::new();
-        s.cell(0, "x").push(42.0);
-        s.bump("rows", 7);
+        cell(&mut s, 0, 3, "x").push(42.0);
+        s.wm_ms = 7;
         let snap = s.snapshot();
         let r = StateStore::restore(&snap).unwrap();
         assert_eq!(r, s);
-        assert_eq!(r.counter("rows"), 7);
+        assert_eq!(r.wm_ms, 7);
         assert!(StateStore::restore(b"garbage").is_none());
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut s = StateStore::new();
-        s.bump("n", 1);
-        s.bump("n", 2);
-        assert_eq!(s.counter("n"), 3);
-        assert_eq!(s.counter("missing"), 0);
     }
 
     /// A store exercising every snapshot section and every odd cell:
     /// an untouched cell (±∞ sentinels), a NaN-only cell, a cell
     /// re-created for a window that was already drained, two open
-    /// windows, an interned key with no cell, and the gap roster
-    /// counters.
+    /// windows, an interned key with no cell (at the widest node), the
+    /// watermark and the gap cursor.
     fn awkward_store() -> StateStore {
         let mut s = StateStore::new();
-        for key in ["2\u{1f}power", "10\u{1f}power", "10\u{1f}temp"] {
-            s.cell(0, key).push(1.5);
-            s.cell(60_000, key).push(-0.0);
-            s.bump(&format!("seen\u{1f}{key}"), 1);
+        for (node, sensor) in [(2, "power"), (10, "power"), (10, "temp")] {
+            cell(&mut s, 0, node, sensor).push(1.5);
+            cell(&mut s, 60_000, node, sensor).push(-0.0);
         }
         assert_eq!(s.drain_closed(60_000).len(), 3);
-        s.cell(0, "10\u{1f}power").push(9.0); // late, window 0 already emitted
-        let _untouched = s.cell(120_000, "2\u{1f}power");
-        s.cell(120_000, "10\u{1f}temp").push(f64::NAN);
-        s.key_id("100\u{1f}idle");
-        s.bump("wm_ms", 150_000);
-        s.bump("gap_next", 60_001);
+        cell(&mut s, 0, 10, "power").push(9.0); // late, window 0 already emitted
+        let _untouched = cell(&mut s, 120_000, 2, "power");
+        cell(&mut s, 120_000, 10, "temp").push(f64::NAN);
+        key(&mut s, i64::MIN, "idle");
+        s.wm_ms = 150_000;
+        s.gap_next = Some(60_000);
         s
     }
 
@@ -516,21 +559,22 @@ mod tests {
             assert_eq!(restored.snapshot(), bytes);
         }
         let restored = StateStore::restore(&awkward_store().snapshot()).unwrap();
-        let empty = restored.get_cell(120_000, "2\u{1f}power").unwrap();
+        let empty = get(&restored, 120_000, 2, "power").unwrap();
         assert_eq!(
             (empty.count, empty.min, empty.max),
             (0, f64::INFINITY, f64::NEG_INFINITY)
         );
-        assert_eq!(restored.get_cell(120_000, "10\u{1f}temp").unwrap().count, 0);
-        assert_eq!(restored.get_cell(0, "10\u{1f}power").unwrap().sum, 9.0);
-        assert!(restored
-            .get_cell(60_000, "2\u{1f}power")
+        assert_eq!(get(&restored, 120_000, 10, "temp").unwrap().count, 0);
+        assert_eq!(get(&restored, 0, 10, "power").unwrap().sum, 9.0);
+        assert!(get(&restored, 60_000, 2, "power")
             .unwrap()
             .min
             .is_sign_negative());
-        assert_eq!(restored.counter("gap_next"), 60_001);
-        assert_eq!(restored.counters_with_prefix("seen\u{1f}").len(), 3);
+        assert_eq!((restored.wm_ms, restored.gap_next), (150_000, Some(60_000)));
+        assert_eq!(restored.keys.len(), 4);
         assert_eq!(restored.len(), 6);
+        let fresh = StateStore::restore(&StateStore::new().snapshot()).unwrap();
+        assert_eq!((fresh.wm_ms, fresh.gap_next), (0, None));
     }
 
     #[test]
@@ -538,9 +582,9 @@ mod tests {
         let mut a = awkward_store();
         let mut b = StateStore::restore(&a.snapshot()).unwrap();
         for s in [&mut a, &mut b] {
-            let id = s.key_id("3\u{1f}new");
-            s.cell_at(120_000, id).push(4.0);
-            s.cell(120_000, "10\u{1f}power").push(1.0);
+            cell(s, 120_000, 3, "new").push(4.0);
+            cell(s, 120_000, 10, "power").push(1.0);
+            cell(s, 120_000, 10, "new").push(2.0);
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.drain_closed(i64::MAX), b.drain_closed(i64::MAX));
@@ -555,20 +599,23 @@ mod tests {
         bytes
     }
 
-    /// Offsets of the key-count, first string-length, cell-count and
-    /// counter-count fields of `s`'s snapshot.
+    /// Offsets of the sensor-count, first string-length, key-count and
+    /// cell-count fields of `s`'s snapshot.
     fn length_fields(s: &StateStore) -> [usize; 4] {
-        let keys = 8;
-        let cells = keys + 4 + s.names.iter().map(|k| 4 + k.len()).sum::<usize>();
-        let counters = cells + 4 + s.len() * CELL_BYTES;
-        [keys, keys + 4, cells, counters]
+        let sensors = 8;
+        let names = s.sensors.entries().iter().map(|n| 4 + n.len());
+        let keys = sensors + 4 + names.sum::<usize>();
+        let cells = keys + 4 + s.keys.len() * KEY_BYTES;
+        [sensors, sensors + 4, keys, cells]
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut bytes = awkward_store().snapshot();
-        bytes[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
+        for version in [VERSION - 1, VERSION + 1] {
+            let mut bytes = awkward_store().snapshot();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(StateStore::restore(&resealed(bytes)).is_none());
+        }
     }
 
     #[test]
@@ -609,40 +656,52 @@ mod tests {
     #[test]
     fn non_canonical_bodies_are_rejected() {
         let s = awkward_store();
-        let [_, _, cells, counters] = length_fields(&s);
+        let [_, _, keys, cells] = length_fields(&s);
+        let rejected = |bytes: Vec<u8>| StateStore::restore(&resealed(bytes)).is_none();
         // Key id outside the key table.
         let mut bytes = s.snapshot();
         bytes[cells + 4 + 8..cells + 4 + 12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
+        assert!(rejected(bytes));
         // Two cells swapped: out of (key id, window) order.
         let mut bytes = s.snapshot();
         let first = cells + 4;
         let (a, b) = bytes[first..first + 2 * CELL_BYTES].split_at_mut(CELL_BYTES);
         a.swap_with_slice(b);
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
-        // Duplicate key: rename key 1 to key 0's bytes (same length).
+        assert!(rejected(bytes));
+        // Sensor code outside the sensor table.
+        let mut bytes = s.snapshot();
+        bytes[keys + 4 + 8..keys + 4 + 12].copy_from_slice(&99u32.to_le_bytes());
+        assert!(rejected(bytes));
+        // Duplicate (node, sensor) key: key 1, (10, power), takes key
+        // 0's node and becomes (2, power).
+        let mut bytes = s.snapshot();
+        let node = bytes[keys + 4..keys + 12].to_vec();
+        bytes[keys + 4 + KEY_BYTES..keys + 12 + KEY_BYTES].copy_from_slice(&node);
+        assert!(rejected(bytes));
+        // Duplicate sensor name: rename sensor 1 to sensor 0's bytes
+        // (same length).
         let mut t = StateStore::new();
-        t.key_id("aa");
-        t.key_id("bb");
+        t.sensor_code("aa");
+        t.sensor_code("bb");
         let mut bytes = t.snapshot();
         bytes[22..24].copy_from_slice(b"aa");
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
-        // Invalid UTF-8 in a key.
+        assert!(rejected(bytes));
+        // Invalid UTF-8 in a sensor name.
         let mut bytes = t.snapshot();
         bytes[16] = 0xff;
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
-        // Trailing bytes after the counters.
+        assert!(rejected(bytes));
+        // A gap cursor flag other than 0 or 1, and "unset" with a window.
+        let flag = s.snapshot().len() - 8 - TAIL_BYTES + 8;
+        for value in [2, 0] {
+            let mut bytes = s.snapshot();
+            bytes[flag] = value;
+            assert!(rejected(bytes), "gap flag {value}");
+        }
+        // Trailing bytes after the gap cursor.
         let mut bytes = s.snapshot();
         let body = bytes.len() - 8;
         bytes.splice(body..body, [0u8; 3]);
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
-        // Counters out of name order: overwrite the second name's first
-        // byte with a NUL so it sorts before the first.
-        let mut bytes = s.snapshot();
-        let first_len = u32::from_le_bytes(bytes[counters + 4..counters + 8].try_into().unwrap());
-        let second_name = counters + 8 + first_len as usize + 8 + 4;
-        bytes[second_name] = 0;
-        assert!(StateStore::restore(&resealed(bytes)).is_none());
+        assert!(rejected(bytes));
     }
 
     #[test]
@@ -658,14 +717,16 @@ mod tests {
         }
     }
 
-    /// The pre-interning store, kept as the reference the new one must
-    /// match cell for cell: a `BTreeMap` over `(window, key string)`.
+    /// A string-keyed store, kept as the reference the store must match
+    /// cell for cell: a `BTreeMap` over `(window, rendered key)`, the key
+    /// rendered `"{node}\u{1f}{sensor}"`.
     #[derive(Default)]
     struct ReferenceStore(BTreeMap<(i64, String), CellState>);
 
     impl ReferenceStore {
-        fn cell(&mut self, window: i64, key: &str) -> &mut CellState {
-            self.0.entry((window, key.to_string())).or_default()
+        fn cell(&mut self, window: i64, node: i64, sensor: &str) -> &mut CellState {
+            let key = format!("{node}\u{1f}{sensor}");
+            self.0.entry((window, key)).or_default()
         }
 
         fn drain_closed(&mut self, horizon: i64) -> Vec<((i64, String), CellState)> {
@@ -680,31 +741,34 @@ mod tests {
 
     proptest! {
         /// Differential: the same folds and drains through the
-        /// reference map and the interned store give the same drained
-        /// cells, in the same order, bit for bit — through a
-        /// snapshot/restore at every step.
+        /// reference map and the store give the same drained cells, in
+        /// the same order, bit for bit — through a snapshot/restore at
+        /// every step. The nodes cross digit counts and signs, so
+        /// emission order is the rendered keys' byte order, not numeric.
         #[test]
         fn matches_reference_store_bit_for_bit(
             ops in proptest::collection::vec(
-                (0i64..6, 0usize..7, any::<f64>(), 0u8..8),
+                (0i64..6, 0usize..6, 0usize..5, any::<f64>(), 0u8..8),
                 1..200,
             ),
         ) {
-            const KEYS: [&str; 7] = [
-                "2\u{1f}p", "10\u{1f}p", "100\u{1f}p", "10\u{1f}t", "1", "", "é",
-            ];
+            const NODES: [i64; 6] = [2, 10, 100, 1, -1, i64::MIN];
+            const SENSORS: [&str; 5] = ["p", "pp", "t", "", "é"];
             let mut new = StateStore::new();
             let mut old = ReferenceStore::default();
             let mut horizon = 0;
-            for (w, k, v, action) in ops {
-                new.cell(w * 10, KEYS[k]).push(v);
-                old.cell(w * 10, KEYS[k]).push(v);
+            for (w, n, s, v, action) in ops {
+                cell(&mut new, w * 10, NODES[n], SENSORS[s]).push(v);
+                old.cell(w * 10, NODES[n], SENSORS[s]).push(v);
                 if action == 0 {
                     horizon += 10;
                     let got: Vec<_> = new
                         .drain_closed(horizon)
                         .into_iter()
-                        .map(|(w, id, c)| (w, new.key_name(id).unwrap().to_string(), bits(&c)))
+                        .map(|(w, id, c)| {
+                            let (node, sensor) = new.key(id);
+                            (w, format!("{node}\u{1f}{}", new.sensor_name(sensor)), bits(&c))
+                        })
                         .collect();
                     let want: Vec<_> = old
                         .drain_closed(horizon)
@@ -731,8 +795,9 @@ mod tests {
             bytes[at] ^= 1 << bit;
             prop_assert!(StateStore::restore(&bytes).is_none());
             // Past the checksum the flip may land in a value (a sum, a
-            // counter) and still be a well-formed snapshot; it must
-            // then survive a round trip unchanged rather than panic.
+            // node, the watermark) and still be a well-formed snapshot;
+            // it must then survive a round trip unchanged rather than
+            // panic.
             if let Some(r) = StateStore::restore(&resealed(bytes.clone())) {
                 prop_assert_eq!(r.snapshot(), resealed(bytes));
             }

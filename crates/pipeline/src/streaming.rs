@@ -573,15 +573,17 @@ mod tests {
         })
     }
 
-    /// Running-sum transform: adds a column with the cumulative total.
+    /// Running-sum transform: adds a column with the cumulative total,
+    /// kept in one state cell (window 0, node 0, sensor "sum").
     fn summing_transform() -> Transform {
         Box::new(|frame: Frame, state: &mut StateStore| {
-            let vals = frame.f64s("v")?.to_vec();
-            for &v in &vals {
-                state.cell(0, "sum").push(v);
-                state.bump("rows", 1);
+            let (row, sensor) = (state.node_row(0), state.sensor_code("sum"));
+            let key = state.key_id(row, sensor);
+            let cell = state.cell_at(0, key);
+            for &v in frame.f64s("v")? {
+                cell.push(v);
             }
-            let total = state.get_cell(0, "sum").map(|c| c.sum).unwrap_or(0.0);
+            let total = cell.sum;
             let mut out = frame;
             let n = out.rows();
             out.push_column("running_total", ColumnData::F64(vec![total; n].into()))?;

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 /// Dense first-occurrence string → `u32` code table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StringInterner {
     entries: Vec<String>,
     index: HashMap<String, u32>,
