@@ -8,8 +8,9 @@
 
 use bytes::Bytes;
 use oda_stream::{Broker, StreamError};
-use oda_telemetry::record::Observation;
+use oda_telemetry::record::{Observation, OBS_WIRE_BYTES};
 use oda_telemetry::TelemetryBatch;
+use std::sync::OnceLock;
 
 /// Number of node shards bronze observations are keyed into.
 pub const BRONZE_SHARDS: u32 = 64;
@@ -23,27 +24,56 @@ pub fn topics(system: &str) -> (String, String, String) {
     )
 }
 
+/// The `shard-{i}` record keys, built once per process.
+fn shard_keys() -> &'static [Bytes] {
+    static KEYS: OnceLock<Vec<Bytes>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        (0..BRONZE_SHARDS)
+            .map(|i| Bytes::from(format!("shard-{i}")))
+            .collect()
+    })
+}
+
 /// Publish one telemetry batch; returns (observations, events, job events).
+///
+/// Observations are sharded by node so each shard is one ordered
+/// record. Each shard's payload is allocated once at its exact size
+/// and the batch is encoded in one pass; the bytes equal
+/// [`Observation::encode_batch`] of the shard's observations in batch
+/// order.
 pub fn publish_batch(
     broker: &Broker,
     system: &str,
     batch: &TelemetryBatch,
 ) -> Result<(usize, usize, usize), StreamError> {
     let (bronze, events, jobs) = topics(system);
-    // Shard observations by node so each shard is one ordered record.
-    let mut shards: Vec<Vec<Observation>> = vec![Vec::new(); BRONZE_SHARDS as usize];
-    for &obs in &batch.observations {
-        shards[(obs.component.node % BRONZE_SHARDS) as usize].push(obs);
+    let shard_of = |obs: &Observation| (obs.component.node % BRONZE_SHARDS) as usize;
+    let mut counts = [0u32; BRONZE_SHARDS as usize];
+    for obs in &batch.observations {
+        counts[shard_of(obs)] += 1;
     }
-    for (i, shard) in shards.iter().enumerate() {
-        if shard.is_empty() {
+    let mut payloads: Vec<Vec<u8>> = counts
+        .iter()
+        .map(|&n| {
+            if n == 0 {
+                return Vec::new();
+            }
+            let mut payload = Vec::with_capacity(4 + n as usize * OBS_WIRE_BYTES);
+            payload.extend_from_slice(&n.to_le_bytes());
+            payload
+        })
+        .collect();
+    for obs in &batch.observations {
+        obs.encode_into(&mut payloads[shard_of(obs)]);
+    }
+    for ((payload, key), n) in payloads.into_iter().zip(shard_keys()).zip(counts) {
+        if n == 0 {
             continue;
         }
-        let payload = Observation::encode_batch(shard);
         broker.produce(
             &bronze,
             batch.ts_ms,
-            Some(Bytes::from(format!("shard-{i}"))),
+            Some(key.clone()),
             Bytes::from(payload),
         )?;
     }
@@ -97,6 +127,46 @@ mod tests {
         }
         assert_eq!(consumed, published_obs);
         assert!(consumed > 0);
+    }
+
+    /// Every record `publish_batch` produces carries the key and the
+    /// exact bytes of `encode_batch` over its shard's observations, in
+    /// batch order, one record per non-empty shard in shard order.
+    #[test]
+    fn payloads_and_keys_equal_per_shard_encode_batch() {
+        let broker = Broker::new();
+        for t in ["tiny.bronze", "tiny.events", "tiny.jobs"] {
+            broker
+                .create_topic(t, 1, RetentionPolicy::unbounded())
+                .unwrap();
+        }
+        let mut g = TelemetryGenerator::new(SystemModel::tiny(), 11);
+        let mut want = Vec::new();
+        for _ in 0..5 {
+            let batch = g.next_batch();
+            for shard in 0..BRONZE_SHARDS {
+                let obs: Vec<Observation> = batch
+                    .observations
+                    .iter()
+                    .filter(|o| o.component.node % BRONZE_SHARDS == shard)
+                    .copied()
+                    .collect();
+                if !obs.is_empty() {
+                    let key = Bytes::from(format!("shard-{shard}"));
+                    want.push((key, Observation::encode_batch(&obs)));
+                }
+            }
+            publish_batch(&broker, "tiny", &batch).unwrap();
+        }
+        assert!(want.len() > 5, "the tiny system spans several shards");
+        let mut c = Consumer::subscribe(broker, "t", "tiny.bronze").unwrap();
+        let got: Vec<(Bytes, Vec<u8>)> = c
+            .poll(10_000)
+            .unwrap()
+            .into_iter()
+            .map(|r| (r.key.expect("bronze records are keyed"), r.value.to_vec()))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

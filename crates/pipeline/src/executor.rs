@@ -3,11 +3,13 @@
 //! The paper's medallion pipelines refine 4.2–4.5 TB/day by running the
 //! Bronze→Silver stage *per partition in parallel* and merging
 //! deterministically before the stateful reduction. This module is that
-//! execution model: a fixed pool of scoped worker threads fetches,
-//! decodes, and partition-maps each topic partition concurrently, then
-//! [`merge_partition_outputs`] produces ONE canonical frame — ordered
-//! by partition id ascending, then offset ascending within a partition
-//! — regardless of worker count or thread interleaving.
+//! execution model: the calling thread fetches every topic partition's
+//! slice, a pool of scoped worker threads decodes and partition-maps
+//! the slices concurrently (spawned only when two or more slices hold
+//! records), then [`merge_partition_outputs`] produces ONE canonical
+//! frame — ordered by partition id ascending, then offset ascending
+//! within a partition — regardless of worker count or thread
+//! interleaving.
 //!
 //! # Determinism contract
 //!
@@ -17,10 +19,12 @@
 //! * The record set is fixed before any thread runs: partition `p` is
 //!   read from its position for at most `budget` records — never "work
 //!   stealing", which would make the set depend on timing.
-//! * Workers own disjoint partitions (striped `i % workers`), and fault
-//!   plans key their schedules by `(site, ctx)` with the fetch ctx being
-//!   the partition id, so injected faults hit the same partition at the
-//!   same invocation no matter which worker draws them, in any order.
+//! * Every partition is fetched and every fetched slice decoded, however
+//!   many workers run. Workers own disjoint slices (striped
+//!   `i % workers`), and fault plans key their schedules by
+//!   `(site, ctx)` with the fetch ctx being the partition id, so
+//!   injected faults hit the same partition at the same invocation no
+//!   matter which thread draws them, in any order.
 //! * The merge sorts by partition id; offsets within a partition are
 //!   already ascending. Identical input ⇒ byte-identical merged frame
 //!   for 1, 2, or 64 workers.
@@ -36,7 +40,7 @@
 use crate::error::PipelineError;
 use crate::frame::Frame;
 use crate::streaming::{Decoder, PartitionMap};
-use oda_stream::Consumer;
+use oda_stream::{Consumer, Record};
 
 /// Wall-clock stage timings of one epoch, in nanoseconds.
 ///
@@ -119,44 +123,59 @@ pub struct PartitionOutput {
     pub decode_ns: u64,
 }
 
-/// Fetch + decode + partition-map one partition from `from`.
-///
-/// This is the body every worker runs; workers=1 runs the identical
-/// code serially, which is why output cannot depend on the pool size.
-fn run_partition(
-    consumer: &Consumer,
+/// One partition's fetched slice, waiting for its decode.
+struct Fetched {
     partition: u32,
-    from: u64,
-    budget: usize,
+    records: Vec<Record>,
+    next_offset: u64,
+    fetch_ns: u64,
+}
+
+/// Decode + partition-map one fetched slice.
+///
+/// This is the body every worker runs; a single worker runs the
+/// identical code serially, which is why output cannot depend on the
+/// pool size.
+fn decode_slice(
+    slice: Fetched,
     decode: &Decoder,
     partition_map: Option<&PartitionMap>,
 ) -> Result<PartitionOutput, PipelineError> {
-    let fetch_watch = oda_obs::Stopwatch::start();
-    let (records, next_offset) = consumer.fetch_partition(partition, from, budget)?;
-    let fetch_ns = fetch_watch.elapsed_ns();
-    let watermark_ms = records.iter().map(|r| r.ts_ms).max().unwrap_or(i64::MIN);
+    let watermark_ms = slice
+        .records
+        .iter()
+        .map(|r| r.ts_ms)
+        .max()
+        .unwrap_or(i64::MIN);
     let decode_watch = oda_obs::Stopwatch::start();
-    let mut frame = decode(&records)?;
+    let mut frame = decode(&slice.records)?;
     if let Some(map) = partition_map {
         frame = map(frame)?;
     }
     Ok(PartitionOutput {
-        partition,
+        partition: slice.partition,
         frame,
-        records: records.len(),
-        next_offset,
+        records: slice.records.len(),
+        next_offset: slice.next_offset,
         watermark_ms,
-        fetch_ns,
+        fetch_ns: slice.fetch_ns,
         decode_ns: decode_watch.elapsed_ns(),
     })
 }
 
 /// Run the per-partition stage for `partitions` (pairs of partition id
-/// and start offset) across `workers` threads.
+/// and start offset), decoding across up to `workers` threads.
+///
+/// Every partition is fetched on the calling thread, in the order
+/// given; a fetch is a position-neutral read, far cheaper than a
+/// thread. Every slice that fetched is then decoded, whether or not it
+/// is empty — on worker threads only when at least two slices hold
+/// records, since an epoch with nothing to read (every drain ends with
+/// one) or one busy partition gains nothing from a spawn.
 ///
 /// Returns outputs sorted by partition id. On failure, returns the
-/// error of the lowest failing partition id (deterministic), after all
-/// workers have finished — no position has moved, so the caller can
+/// error of the lowest failing partition id (deterministic), after
+/// every partition has run — no position has moved, so the caller can
 /// simply retry the epoch.
 pub fn partition_stage(
     consumer: &Consumer,
@@ -166,39 +185,53 @@ pub fn partition_stage(
     decode: &Decoder,
     partition_map: Option<&PartitionMap>,
 ) -> Result<Vec<PartitionOutput>, PipelineError> {
-    let workers = workers.max(1).min(partitions.len().max(1));
-    let mut results: Vec<Option<Result<PartitionOutput, PipelineError>>> =
-        (0..partitions.len()).map(|_| None).collect();
-    if workers <= 1 {
-        for (slot, &(p, from)) in results.iter_mut().zip(partitions) {
-            *slot = Some(run_partition(
-                consumer,
-                p,
-                from,
-                budget,
-                decode,
-                partition_map,
-            ));
-        }
+    let fetched: Vec<Result<Fetched, PipelineError>> = partitions
+        .iter()
+        .map(|&(partition, from)| {
+            let watch = oda_obs::Stopwatch::start();
+            let (records, next_offset) = consumer.fetch_partition(partition, from, budget)?;
+            Ok(Fetched {
+                partition,
+                records,
+                next_offset,
+                fetch_ns: watch.elapsed_ns(),
+            })
+        })
+        .collect();
+    let busy = fetched
+        .iter()
+        .filter(|f| f.as_ref().is_ok_and(|f| !f.records.is_empty()))
+        .count();
+    let workers = workers.max(1).min(busy);
+    let results: Vec<Result<PartitionOutput, PipelineError>> = if workers <= 1 {
+        fetched
+            .into_iter()
+            .map(|f| f.and_then(|slice| decode_slice(slice, decode, partition_map)))
+            .collect()
     } else {
-        // Striped static assignment: worker w owns partition indexes
-        // w, w+workers, w+2*workers, ... Deterministic, no queue, no
-        // work stealing.
+        // Striped static assignment: worker w owns slice indexes w,
+        // w+workers, w+2*workers, ... Deterministic, no queue, no work
+        // stealing.
+        let mut stripes: Vec<Vec<(usize, Fetched)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut results: Vec<Option<Result<PartitionOutput, PipelineError>>> =
+            Vec::with_capacity(fetched.len());
+        for (i, f) in fetched.into_iter().enumerate() {
+            match f {
+                Ok(slice) => {
+                    stripes[i % workers].push((i, slice));
+                    results.push(None);
+                }
+                Err(e) => results.push(Some(Err(e))),
+            }
+        }
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
+            let handles: Vec<_> = stripes
+                .into_iter()
+                .map(|stripe| {
                     s.spawn(move || {
-                        partitions
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, &(p, from))| {
-                                (
-                                    i,
-                                    run_partition(consumer, p, from, budget, decode, partition_map),
-                                )
-                            })
+                        stripe
+                            .into_iter()
+                            .map(|(i, slice)| (i, decode_slice(slice, decode, partition_map)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -209,11 +242,15 @@ pub fn partition_stage(
                 }
             }
         });
-    }
+        results
+            .into_iter()
+            .map(|r| r.expect("every partition ran"))
+            .collect()
+    };
     let mut outputs = Vec::with_capacity(partitions.len());
     let mut first_err: Option<(u32, PipelineError)> = None;
-    for (slot, &(p, _)) in results.into_iter().zip(partitions) {
-        match slot.expect("every partition ran") {
+    for (result, &(p, _)) in results.into_iter().zip(partitions) {
+        match result {
             Ok(o) => outputs.push(o),
             Err(e) => {
                 if first_err.as_ref().is_none_or(|(fp, _)| p < *fp) {
@@ -427,6 +464,49 @@ mod tests {
             errs.iter().all(|e| e == &errs[0]),
             "error not stable: {errs:?}"
         );
+    }
+
+    /// Decode calls of one stage run: (thread, records) per call.
+    fn decode_threads(
+        b: Arc<Broker>,
+        workers: usize,
+    ) -> (Vec<(std::thread::ThreadId, usize)>, usize) {
+        let c = Consumer::subscribe(b, "g", "t").unwrap();
+        let parts: Vec<(u32, u64)> = c.assignment().iter().map(|&p| (p, 0)).collect();
+        let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&calls);
+        let inner = decoder();
+        let d: Decoder = Box::new(move |records| {
+            let call = (std::thread::current().id(), records.len());
+            seen.lock().unwrap().push(call);
+            inner(records)
+        });
+        let outs = partition_stage(&c, &parts, 1_000, workers, &d, None).unwrap();
+        assert_eq!(outs.len(), parts.len());
+        let calls = calls.lock().unwrap().clone();
+        (calls, parts.len())
+    }
+
+    #[test]
+    fn decode_spawns_only_when_two_slices_hold_records() {
+        let here = std::thread::current().id();
+        // Nothing to read, and one busy partition (keyed records all
+        // land on one): every slice is still decoded, on this thread.
+        let empty = broker(4, 0);
+        let one = broker(4, 0);
+        for i in 0..10 {
+            one.produce("t", i, Some(Bytes::from("k")), Bytes::from("1.5"))
+                .unwrap();
+        }
+        for b in [empty, one] {
+            let (calls, partitions) = decode_threads(b, 4);
+            assert_eq!(calls.len(), partitions, "every partition decodes");
+            assert!(calls.iter().all(|&(t, _)| t == here), "{calls:?}");
+        }
+        // Records on every partition: decoded by the workers.
+        let (calls, partitions) = decode_threads(broker(4, 100), 2);
+        assert_eq!(calls.len(), partitions);
+        assert!(calls.iter().all(|&(t, n)| t != here && n > 0), "{calls:?}");
     }
 
     #[test]

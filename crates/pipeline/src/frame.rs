@@ -316,10 +316,179 @@ impl Frame {
 
     /// Vertically concatenate frames with identical schemas.
     ///
-    /// A single-frame concat returns shared views (no row data moves);
-    /// multi-frame concats append through copy-on-write buffers, and
-    /// `Dict` columns only re-code when the dictionaries differ.
+    /// A single-frame concat returns shared views (no row data moves).
+    /// Otherwise each output column is allocated once at the total row
+    /// count and every frame's rows are copied into it once. `Dict`
+    /// columns only re-code when a frame's dictionary differs from the
+    /// output's; its entries the output lacks are appended in that
+    /// frame's order.
     pub fn concat(frames: &[Frame]) -> Result<Frame, PipelineError> {
+        let Some(first) = frames.first() else {
+            return Frame::new(Vec::new());
+        };
+        if frames.len() == 1 {
+            return Ok(first.clone());
+        }
+        if let Some(f) = frames.iter().find(|f| f.names != first.names) {
+            return Err(PipelineError::ColumnNotFound(format!(
+                "concat schema mismatch: {:?} vs {:?}",
+                f.names, first.names
+            )));
+        }
+        let rows = frames.iter().map(|f| f.rows).sum();
+        let columns = (0..first.columns.len())
+            .map(|c| {
+                let parts: Vec<&ColumnData> = frames.iter().map(|f| &f.columns[c]).collect();
+                concat_column(&parts, rows)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Frame {
+            names: first.names.clone(),
+            rows: columns.first().map_or(0, ColumnData::len),
+            columns,
+        })
+    }
+}
+
+/// `parts` end to end in a column of `parts[0]`'s representation, sized
+/// for `rows`. Mixed representations concatenate too, so frames read
+/// from old Str-typed files mix with Dict frames.
+fn concat_column(parts: &[&ColumnData], rows: usize) -> Result<ColumnData, PipelineError> {
+    let mismatch = || PipelineError::TypeMismatch {
+        column: "concat".into(),
+        expected: "matching column types".into(),
+    };
+    Ok(match parts[0] {
+        ColumnData::I64(_) => {
+            let mut out = Vec::with_capacity(rows);
+            for part in parts {
+                let ColumnData::I64(v) = part else {
+                    return Err(mismatch());
+                };
+                out.extend_from_slice(v);
+            }
+            ColumnData::I64(out.into())
+        }
+        ColumnData::F64(_) => {
+            let mut out = Vec::with_capacity(rows);
+            for part in parts {
+                let ColumnData::F64(v) = part else {
+                    return Err(mismatch());
+                };
+                out.extend_from_slice(v);
+            }
+            ColumnData::F64(out.into())
+        }
+        ColumnData::Str(_) => {
+            let mut out = Vec::with_capacity(rows);
+            for part in parts {
+                match part {
+                    ColumnData::Str(v) => out.extend_from_slice(v),
+                    ColumnData::Dict { dict, codes } => {
+                        out.extend(codes.iter().map(|&c| dict[c as usize].clone()))
+                    }
+                    _ => return Err(mismatch()),
+                }
+            }
+            ColumnData::Str(out.into())
+        }
+        ColumnData::Dict { dict, .. } => {
+            let mut dict = Arc::clone(dict);
+            let mut index = None;
+            let mut out = Vec::with_capacity(rows);
+            for part in parts {
+                match part {
+                    ColumnData::Dict { dict: d, codes } if Arc::ptr_eq(&dict, d) || dict == *d => {
+                        out.extend_from_slice(codes)
+                    }
+                    ColumnData::Dict { dict: d, codes } => {
+                        let remap: Vec<u32> = d
+                            .iter()
+                            .map(|e| dict_code(&mut dict, &mut index, e))
+                            .collect();
+                        out.extend(codes.iter().map(|&c| remap[c as usize]));
+                    }
+                    ColumnData::Str(v) => {
+                        for e in v.iter() {
+                            let code = dict_code(&mut dict, &mut index, e);
+                            out.push(code);
+                        }
+                    }
+                    _ => return Err(mismatch()),
+                }
+            }
+            ColumnData::Dict {
+                dict,
+                codes: out.into(),
+            }
+        }
+    })
+}
+
+/// Code of `entry` in `dict`, appending it (copy-on-write) when absent.
+/// `index` maps `dict`'s entries to codes; it is built on first use and
+/// kept in step with every append.
+fn dict_code(
+    dict: &mut Arc<Vec<String>>,
+    index: &mut Option<HashMap<String, u32>>,
+    entry: &str,
+) -> u32 {
+    let index = index.get_or_insert_with(|| {
+        dict.iter()
+            .enumerate()
+            .map(|(i, e)| (e.clone(), i as u32))
+            .collect()
+    });
+    if let Some(&code) = index.get(entry) {
+        return code;
+    }
+    let code = dict.len() as u32;
+    Arc::make_mut(dict).push(entry.to_string());
+    index.insert(entry.to_string(), code);
+    code
+}
+
+/// A column's exact in-memory layout, for tests that pin
+/// representation (dictionary order included) and float bits, which
+/// frame equality — logical, with IEEE `NaN != NaN` — does not.
+#[cfg(test)]
+#[derive(Debug, PartialEq)]
+pub(crate) enum Layout {
+    I64(Vec<i64>),
+    F64(Vec<u64>),
+    Str(Vec<String>),
+    Dict(Vec<String>, Vec<u32>),
+}
+
+#[cfg(test)]
+impl Frame {
+    /// Every column's name and exact layout.
+    pub(crate) fn layout(&self) -> Vec<(String, Layout)> {
+        self.names
+            .iter()
+            .zip(&self.columns)
+            .map(|(name, c)| {
+                let layout = match c {
+                    ColumnData::I64(v) => Layout::I64(v.to_vec()),
+                    ColumnData::F64(v) => Layout::F64(v.iter().map(|x| x.to_bits()).collect()),
+                    ColumnData::Str(v) => Layout::Str(v.to_vec()),
+                    ColumnData::Dict { dict, codes } => {
+                        Layout::Dict(dict.as_ref().clone(), codes.to_vec())
+                    }
+                };
+                (name.clone(), layout)
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The concat that copy-on-wrote the first frame and grew by
+    /// appending, kept as the oracle for the sized one.
+    fn reference_concat(frames: &[Frame]) -> Result<Frame, PipelineError> {
         let Some(first) = frames.first() else {
             return Frame::new(Vec::new());
         };
@@ -355,16 +524,11 @@ impl Frame {
                         if Arc::ptr_eq(dict, s_dict) || **dict == **s_dict {
                             codes.with_mut(|v| v.extend_from_slice(&s_codes[..]));
                         } else {
-                            // Deterministic merge: remap the source
-                            // dictionary into the destination, appending
-                            // unseen entries in source order.
-                            let remap = merge_dicts(dict, s_dict);
+                            let remap = reference_merge_dicts(dict, s_dict);
                             codes
                                 .with_mut(|v| v.extend(s_codes.iter().map(|&c| remap[c as usize])));
                         }
                     }
-                    // Mixed representations concatenate too, so frames
-                    // read from old Str-typed files mix with Dict frames.
                     (ColumnData::Dict { dict, codes }, ColumnData::Str(s)) => {
                         let mut index: HashMap<String, u32> = dict
                             .iter()
@@ -406,36 +570,29 @@ impl Frame {
             rows,
         })
     }
-}
 
-/// Remap table from `src` dictionary codes into `dst`, appending
-/// entries `dst` lacks (in `src` order) via copy-on-write.
-fn merge_dicts(dst: &mut Arc<Vec<String>>, src: &[String]) -> Vec<u32> {
-    let mut index: HashMap<String, u32> = dst
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.clone(), i as u32))
-        .collect();
-    let mut added: Vec<String> = Vec::new();
-    let base = dst.len();
-    let remap: Vec<u32> = src
-        .iter()
-        .map(|e| {
-            *index.entry(e.clone()).or_insert_with(|| {
-                added.push(e.clone());
-                (base + added.len() - 1) as u32
+    fn reference_merge_dicts(dst: &mut Arc<Vec<String>>, src: &[String]) -> Vec<u32> {
+        let mut index: HashMap<String, u32> = dst
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.clone(), i as u32))
+            .collect();
+        let mut added: Vec<String> = Vec::new();
+        let base = dst.len();
+        let remap: Vec<u32> = src
+            .iter()
+            .map(|e| {
+                *index.entry(e.clone()).or_insert_with(|| {
+                    added.push(e.clone());
+                    (base + added.len() - 1) as u32
+                })
             })
-        })
-        .collect();
-    if !added.is_empty() {
-        Arc::make_mut(dst).extend(added);
+            .collect();
+        if !added.is_empty() {
+            Arc::make_mut(dst).extend(added);
+        }
+        remap
     }
-    remap
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn sample() -> Frame {
         Frame::new(vec![
@@ -498,6 +655,75 @@ mod tests {
         let g = Frame::concat(&[f.clone(), f.clone()]).unwrap();
         assert_eq!(g.rows(), 8);
         assert_eq!(g.i64s("ts").unwrap(), &[1, 2, 3, 4, 1, 2, 3, 4]);
+    }
+
+    /// Frames whose `s` column mixes dictionaries — one shared `Arc`,
+    /// an equal copy, reordered and overlapping entries, unused and
+    /// duplicate entries, plain strings — concatenated in every order
+    /// of every pair and triple, against the append-and-grow concat.
+    #[test]
+    fn concat_matches_reference_on_mixed_dictionaries() {
+        let shared = Arc::new(vec!["a".to_string(), "b".into(), "c".into()]);
+        let frame = |s: ColumnData, n: usize| {
+            Frame::new(vec![
+                ("ts".into(), ColumnData::I64((0..n as i64).collect())),
+                ("v".into(), ColumnData::F64(vec![f64::NAN; n].into())),
+                ("s".into(), s),
+            ])
+            .unwrap()
+        };
+        let dict = |d: &[&str], codes: Vec<u32>| {
+            ColumnData::dict(d.iter().map(|e| e.to_string()).collect(), codes)
+        };
+        let strs = |v: &[&str]| ColumnData::Str(v.iter().map(|e| e.to_string()).collect());
+        let frames = [
+            frame(
+                ColumnData::Dict {
+                    dict: Arc::clone(&shared),
+                    codes: vec![0, 2, 2].into(),
+                },
+                3,
+            ),
+            frame(
+                ColumnData::Dict {
+                    dict: Arc::clone(&shared),
+                    codes: vec![1].into(),
+                },
+                1,
+            ),
+            frame(dict(&["a", "b", "c"], vec![2, 1]), 2),
+            frame(dict(&["c", "d", "unused", "a"], vec![1, 0, 3, 1]), 4),
+            frame(dict(&["e", "e", "b"], vec![1, 2, 0]), 3),
+            frame(strs(&["d", "z", "a", "z"]), 4),
+            frame(dict(&[], vec![]), 0),
+        ];
+        let n = frames.len();
+        let mut orders: Vec<Vec<usize>> = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                orders.push(vec![i, j]);
+                for k in 0..n {
+                    orders.push(vec![i, j, k]);
+                }
+            }
+        }
+        for order in orders {
+            let parts: Vec<Frame> = order.iter().map(|&i| frames[i].clone()).collect();
+            let got = Frame::concat(&parts).unwrap();
+            let want = reference_concat(&parts).unwrap();
+            assert_eq!(got.layout(), want.layout(), "order {order:?}");
+            assert_eq!(got.rows(), want.rows());
+        }
+        // A type clash is refused, as before.
+        let clash = Frame::new(vec![
+            ("ts".into(), ColumnData::I64(vec![1].into())),
+            ("v".into(), ColumnData::F64(vec![1.0].into())),
+            ("s".into(), ColumnData::I64(vec![1].into())),
+        ])
+        .unwrap();
+        let parts = [frames[0].clone(), clash];
+        assert!(Frame::concat(&parts).is_err());
+        assert!(reference_concat(&parts).is_err());
     }
 
     #[test]

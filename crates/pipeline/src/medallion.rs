@@ -10,13 +10,22 @@
 //! (a [`Query`] re-run over Bronze) and *streaming* (a stateful
 //! transform precomputing Silver incrementally — the §VI-B design
 //! decision that "amortizes the cost of refining datasets").
+//!
+//! Every kernel on the streaming write path makes one pass over its rows
+//! and writes its output once. One Bronze column builder serves both
+//! [`bronze_frame`] and [`observation_decoder`]; the decoder writes each
+//! broker record's bytes straight into the six columns, with the
+//! catalog's sensor dictionary built once per decoder. The quality
+//! filter computes its mask in one pass over two columns, and the
+//! Silver fold finds each row's state key from where the previous row's
+//! landed.
 
 use crate::error::PipelineError;
 use crate::expr::Expr;
 use crate::frame::Frame;
 use crate::logical::Query;
 use crate::ops::{Agg, AggSpec};
-use crate::state::{CellState, KeyId, StateStore};
+use crate::state::{CellState, KeyHint, KeyId, StateStore};
 use crate::streaming::{Decoder, PartitionMap, Transform};
 use crate::window::window_start;
 use oda_faults::{FaultPoint, FaultSite};
@@ -45,82 +54,182 @@ pub fn device_label(d: Device) -> String {
     }
 }
 
-/// Build a Bronze frame from observations: columns `ts_ms` (I64),
-/// `node` (I64), `device` (Dict), `sensor` (Dict), `value` (F64),
-/// `quality` (I64 code: 0 good, 1 missing, 2 suspect).
-///
-/// The categorical columns are dictionary-encoded at the source: sensor
-/// names are interned from the catalog up front and devices are labeled
-/// once per distinct device, so the per-row cost is a 4-byte code push
-/// — no `String` is allocated per observation.
-pub fn bronze_frame(obs: &[Observation], catalog: &SensorCatalog) -> Frame {
-    let mut ts = Vec::with_capacity(obs.len());
-    let mut node = Vec::with_capacity(obs.len());
-    let mut device = Vec::with_capacity(obs.len());
-    let mut sensor = Vec::with_capacity(obs.len());
-    let mut value = Vec::with_capacity(obs.len());
-    let mut quality = Vec::with_capacity(obs.len());
-    // Catalog ids are dense (get(id) indexes specs by position), so the
-    // pre-seeded interner makes the common case a direct table lookup.
-    // Unused pre-seeded entries are dropped at colfile write time.
-    let mut sensors = StringInterner::new();
-    let known: Vec<u32> = catalog
-        .specs()
-        .iter()
-        .map(|s| sensors.intern(&s.name))
-        .collect();
-    let mut unknown: HashMap<u16, u32> = HashMap::new();
-    let mut devices = StringInterner::new();
-    let mut device_code: HashMap<Device, u32> = HashMap::new();
-    for o in obs {
-        ts.push(o.ts_ms);
-        node.push(i64::from(o.component.node));
-        device.push(
-            *device_code
-                .entry(o.component.device)
-                .or_insert_with(|| devices.intern(&device_label(o.component.device))),
-        );
-        sensor.push(match known.get(usize::from(o.sensor)) {
+/// The catalog's sensor names as a Bronze `sensor` dictionary, built
+/// once per decoder and shared (one `Arc`) by every frame that sees no
+/// sensor outside the catalog.
+struct SensorDict {
+    /// Catalog names, interned in id order.
+    names: StringInterner,
+    /// Catalog id -> dictionary code. Ids are dense (`get(id)` indexes
+    /// specs by position), so this is a direct table.
+    known: Vec<u32>,
+    /// `names` as a column dictionary.
+    dict: Arc<Vec<String>>,
+}
+
+impl SensorDict {
+    fn new(catalog: &SensorCatalog) -> SensorDict {
+        let mut names = StringInterner::new();
+        let known = catalog
+            .specs()
+            .iter()
+            .map(|s| names.intern(&s.name))
+            .collect();
+        let dict = Arc::new(names.entries().to_vec());
+        SensorDict { names, known, dict }
+    }
+}
+
+/// One Bronze frame's six columns, written a row at a time straight
+/// from decoded observations. The per-row cost is six pushes and two
+/// table reads: devices are labeled once per distinct device, through a
+/// table indexed by [`Device::code`], and sensors resolve through the
+/// catalog's prebuilt dictionary (a sensor outside it is named `s{id}`
+/// and appended in first-appearance order).
+struct BronzeColumns<'a> {
+    sensors: &'a SensorDict,
+    ts: Vec<i64>,
+    node: Vec<i64>,
+    device: Vec<u32>,
+    sensor: Vec<u32>,
+    value: Vec<f64>,
+    quality: Vec<i64>,
+    /// Device labels in first-appearance order.
+    device_labels: Vec<String>,
+    /// [`Device::code`] -> label code, `u32::MAX` until seen.
+    device_code: Vec<u32>,
+    /// Sensor ids outside the catalog -> their code.
+    unknown: HashMap<u16, u32>,
+    /// Names appended after the catalog's, in code order.
+    added: Vec<String>,
+}
+
+/// One past the largest [`Device::code`] (`Facility`, 0x600).
+const DEVICE_CODES: usize = 0x601;
+
+impl<'a> BronzeColumns<'a> {
+    fn with_capacity(sensors: &'a SensorDict, rows: usize) -> BronzeColumns<'a> {
+        BronzeColumns {
+            sensors,
+            ts: Vec::with_capacity(rows),
+            node: Vec::with_capacity(rows),
+            device: Vec::with_capacity(rows),
+            sensor: Vec::with_capacity(rows),
+            value: Vec::with_capacity(rows),
+            quality: Vec::with_capacity(rows),
+            device_labels: Vec::new(),
+            device_code: vec![u32::MAX; DEVICE_CODES],
+            unknown: HashMap::new(),
+            added: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, o: &Observation) {
+        self.ts.push(o.ts_ms);
+        self.node.push(i64::from(o.component.node));
+        let slot = &mut self.device_code[usize::from(o.component.device.code())];
+        if *slot == u32::MAX {
+            *slot = self.device_labels.len() as u32;
+            self.device_labels.push(device_label(o.component.device));
+        }
+        self.device.push(*slot);
+        let sensor = match self.sensors.known.get(usize::from(o.sensor)) {
             Some(&code) => code,
-            None => *unknown
-                .entry(o.sensor)
-                .or_insert_with(|| sensors.intern(&format!("s{}", o.sensor))),
-        });
-        value.push(o.value);
-        quality.push(match o.quality {
-            Quality::Good => 0i64,
+            None => self.unknown_sensor(o.sensor),
+        };
+        self.sensor.push(sensor);
+        self.value.push(o.value);
+        self.quality.push(match o.quality {
+            Quality::Good => 0,
             Quality::Missing => 1,
             Quality::Suspect => 2,
         });
     }
-    Frame::new(vec![
-        ("ts_ms".into(), ColumnData::I64(ts.into())),
-        ("node".into(), ColumnData::I64(node.into())),
-        (
-            "device".into(),
-            ColumnData::dict(devices.into_dict(), device),
-        ),
-        (
-            "sensor".into(),
-            ColumnData::dict(sensors.into_dict(), sensor),
-        ),
-        ("value".into(), ColumnData::F64(value.into())),
-        ("quality".into(), ColumnData::I64(quality.into())),
-    ])
-    .expect("equal-length columns by construction")
+
+    /// Code of a sensor id the catalog lacks, named `s{id}` — as if
+    /// interned after the catalog's names.
+    #[cold]
+    fn unknown_sensor(&mut self, id: u16) -> u32 {
+        let (sensors, added) = (self.sensors, &mut self.added);
+        *self.unknown.entry(id).or_insert_with(|| {
+            let name = format!("s{id}");
+            sensors.names.lookup(&name).unwrap_or_else(|| {
+                added.push(name);
+                (sensors.names.len() + added.len() - 1) as u32
+            })
+        })
+    }
+
+    fn finish(self) -> Frame {
+        let sensor_dict = if self.added.is_empty() {
+            Arc::clone(&self.sensors.dict)
+        } else {
+            let mut dict = self.sensors.dict.as_ref().clone();
+            dict.extend(self.added);
+            Arc::new(dict)
+        };
+        Frame::new(vec![
+            ("ts_ms".into(), ColumnData::I64(self.ts.into())),
+            ("node".into(), ColumnData::I64(self.node.into())),
+            (
+                "device".into(),
+                ColumnData::dict(self.device_labels, self.device),
+            ),
+            (
+                "sensor".into(),
+                ColumnData::Dict {
+                    dict: sensor_dict,
+                    codes: self.sensor.into(),
+                },
+            ),
+            ("value".into(), ColumnData::F64(self.value.into())),
+            ("quality".into(), ColumnData::I64(self.quality.into())),
+        ])
+        .expect("equal-length columns by construction")
+    }
+}
+
+/// Build a Bronze frame from observations: columns `ts_ms` (I64),
+/// `node` (I64), `device` (Dict), `sensor` (Dict), `value` (F64),
+/// `quality` (I64 code: 0 good, 1 missing, 2 suspect).
+///
+/// The categorical columns are dictionary-encoded at the source: the
+/// sensor dictionary is the catalog's names in id order (unused entries
+/// are dropped at colfile write time) and devices are labeled once per
+/// distinct device, so no `String` is allocated per observation.
+pub fn bronze_frame(obs: &[Observation], catalog: &SensorCatalog) -> Frame {
+    let sensors = SensorDict::new(catalog);
+    let mut columns = BronzeColumns::with_capacity(&sensors, obs.len());
+    for o in obs {
+        columns.push(o);
+    }
+    columns.finish()
+}
+
+fn bad_batch() -> PipelineError {
+    PipelineError::Decode("bad observation batch".into())
 }
 
 /// Decoder for broker records whose payloads are
-/// [`Observation::encode_batch`] frames.
+/// [`Observation::encode_batch`] frames. Each record's bytes decode
+/// straight into the Bronze columns, sized up front from the validated
+/// batch counts, with no intermediate `Vec<Observation>`; the frame
+/// equals [`bronze_frame`] over the decoded batches.
 pub fn observation_decoder(catalog: SensorCatalog) -> Decoder {
+    let sensors = SensorDict::new(&catalog);
     Box::new(move |records| {
-        let mut all = Vec::new();
-        for r in records {
-            let batch = Observation::decode_batch(&r.value)
-                .ok_or_else(|| PipelineError::Decode("bad observation batch".into()))?;
-            all.extend(batch);
+        let batches = records
+            .iter()
+            .map(|r| Observation::batch(&r.value).ok_or_else(bad_batch))
+            .collect::<Result<Vec<_>, _>>()?;
+        let rows = batches.iter().map(ExactSizeIterator::len).sum();
+        let mut columns = BronzeColumns::with_capacity(&sensors, rows);
+        for batch in batches {
+            for o in batch {
+                columns.push(&o.ok_or_else(bad_batch)?);
+            }
         }
-        Ok(bronze_frame(&all, &catalog))
+        Ok(columns.finish())
     })
 }
 
@@ -135,32 +244,38 @@ pub fn observation_decoder_with_faults(
     catalog: SensorCatalog,
     faults: Arc<dyn FaultPoint>,
 ) -> Decoder {
+    let sensors = SensorDict::new(&catalog);
     Box::new(move |records| {
-        let mut all = Vec::new();
+        let mut columns = BronzeColumns::with_capacity(&sensors, 0);
         for r in records {
-            let batch = Observation::decode_batch(&r.value)
-                .ok_or_else(|| PipelineError::Decode("bad observation batch".into()))?;
-            for (i, o) in batch.into_iter().enumerate() {
+            // The whole batch decodes before its first fault draw, so a
+            // malformed batch draws nothing.
+            let batch = Observation::decode_batch(&r.value).ok_or_else(bad_batch)?;
+            for (i, o) in batch.iter().enumerate() {
                 if faults.check(FaultSite::SensorRead, i as u64).is_none() {
-                    all.push(o);
+                    columns.push(o);
                 }
             }
         }
-        Ok(bronze_frame(&all, &catalog))
+        Ok(columns.finish())
     })
 }
 
 /// The Fig. 4-b quality filter as a stateless per-partition stage:
 /// drops rows whose `quality` is not Good (0) or whose `value` is NaN.
-/// Row-local, so it runs inside the parallel partition workers (via
+/// The mask is one pass over the two columns. Row-local, so it runs
+/// inside the parallel partition workers (via
 /// `StreamingQueryBuilder::map_partitions`) with output identical to
 /// filtering the merged frame.
 pub fn quality_filter_map() -> PartitionMap {
     Box::new(|frame: Frame| {
-        let mask = Expr::col("quality")
-            .eq_(Expr::LitI(0))
-            .and(Expr::col("value").is_nan().not())
-            .eval_mask(&frame)?;
+        let quality = frame.i64s("quality")?;
+        let value = frame.f64s("value")?;
+        let mask: Vec<bool> = quality
+            .iter()
+            .zip(value)
+            .map(|(&q, v)| q == 0 && !v.is_nan())
+            .collect();
         Ok(frame.filter_mask(&mask))
     })
 }
@@ -248,10 +363,10 @@ type SilverRow = (i64, KeyId, Option<CellState>);
 /// windows starting before it are final) and the earliest window a row
 /// landed in (`i64::MAX` when none did).
 ///
-/// A sensor name is interned once per entry of the frame's dictionary.
-/// A row re-bases on its node's key row only when the node differs from
-/// the previous row's, then finds its key by a binary search of that
-/// node's sensor codes: nothing per row allocates or reads a string.
+/// A sensor name is interned once per entry of the frame's dictionary,
+/// and a window start is computed once per run of equal timestamps. A
+/// row finds its key from where the previous row's landed (see
+/// [`StateStore::key_id`]): nothing per row allocates or reads a string.
 fn fold(
     frame: &Frame,
     state: &mut StateStore,
@@ -267,25 +382,26 @@ fn fold(
     let mut sensor_of: Vec<Option<u32>> = vec![None; dict.len()];
     let mut max_ts = state.wm_ms;
     let mut first_window = i64::MAX;
-    let mut current: Option<(i64, usize)> = None;
+    // The last good row's timestamp and its window start.
+    let mut last: Option<(i64, i64)> = None;
+    let mut hint = KeyHint::default();
     for i in 0..frame.rows() {
         max_ts = max_ts.max(ts[i]);
         if quality[i] != 0 || value[i].is_nan() {
             continue;
         }
-        let window = window_start(ts[i], window_ms);
-        first_window = first_window.min(window);
-        let row = match current {
-            Some((n, row)) if n == node[i] => row,
+        let window = match last {
+            Some((t, window)) if t == ts[i] => window,
             _ => {
-                let row = state.node_row(node[i]);
-                current = Some((node[i], row));
-                row
+                let window = window_start(ts[i], window_ms);
+                first_window = first_window.min(window);
+                last = Some((ts[i], window));
+                window
             }
         };
         let code = codes[i] as usize;
         let sensor = *sensor_of[code].get_or_insert_with(|| state.sensor_code(&dict[code]));
-        let id = state.key_id(row, sensor);
+        let id = state.key_id(node[i], sensor, &mut hint);
         state.cell_at(window, id).push(value[i]);
     }
     state.wm_ms = max_ts;
@@ -472,6 +588,172 @@ mod tests {
         // Categorical columns are dictionary-encoded at the source.
         assert!(f.dict("sensor").is_ok());
         assert!(f.dict("device").is_ok());
+    }
+
+    /// The Bronze builder that interned the catalog per call and probed
+    /// a `HashMap<Device, u32>` per row, kept as the oracle for the
+    /// column builder.
+    fn reference_bronze_frame(obs: &[Observation], catalog: &SensorCatalog) -> Frame {
+        let mut ts = Vec::with_capacity(obs.len());
+        let mut node = Vec::with_capacity(obs.len());
+        let mut device = Vec::with_capacity(obs.len());
+        let mut sensor = Vec::with_capacity(obs.len());
+        let mut value = Vec::with_capacity(obs.len());
+        let mut quality = Vec::with_capacity(obs.len());
+        let mut sensors = StringInterner::new();
+        let known: Vec<u32> = catalog
+            .specs()
+            .iter()
+            .map(|s| sensors.intern(&s.name))
+            .collect();
+        let mut unknown: HashMap<u16, u32> = HashMap::new();
+        let mut devices = StringInterner::new();
+        let mut device_code: HashMap<Device, u32> = HashMap::new();
+        for o in obs {
+            ts.push(o.ts_ms);
+            node.push(i64::from(o.component.node));
+            device.push(
+                *device_code
+                    .entry(o.component.device)
+                    .or_insert_with(|| devices.intern(&device_label(o.component.device))),
+            );
+            sensor.push(match known.get(usize::from(o.sensor)) {
+                Some(&code) => code,
+                None => *unknown
+                    .entry(o.sensor)
+                    .or_insert_with(|| sensors.intern(&format!("s{}", o.sensor))),
+            });
+            value.push(o.value);
+            quality.push(match o.quality {
+                Quality::Good => 0i64,
+                Quality::Missing => 1,
+                Quality::Suspect => 2,
+            });
+        }
+        Frame::new(vec![
+            ("ts_ms".into(), ColumnData::I64(ts.into())),
+            ("node".into(), ColumnData::I64(node.into())),
+            (
+                "device".into(),
+                ColumnData::dict(devices.into_dict(), device),
+            ),
+            (
+                "sensor".into(),
+                ColumnData::dict(sensors.into_dict(), sensor),
+            ),
+            ("value".into(), ColumnData::F64(value.into())),
+            ("quality".into(), ColumnData::I64(quality.into())),
+        ])
+        .expect("equal-length columns by construction")
+    }
+
+    fn record(payload: Vec<u8>) -> oda_stream::Record {
+        oda_stream::Record {
+            offset: 0,
+            ts_ms: 0,
+            key: None,
+            value: Bytes::from(payload),
+        }
+    }
+
+    /// An observation over every `Device` variant, sensor ids in and
+    /// past the catalog, all three qualities and any value.
+    fn any_observation() -> impl proptest::prelude::Strategy<Value = Observation> {
+        use proptest::prelude::*;
+        (
+            any::<i64>(),
+            (any::<bool>(), any::<u16>()),
+            (0u32..4, any::<u32>()),
+            (0u8..7, any::<u8>()),
+            any::<f64>(),
+            0u8..3,
+        )
+            .prop_map(|(ts_ms, (near, id), (nodes, n), (kind, i), value, q)| {
+                let device = match kind {
+                    0 => Device::Node,
+                    1 => Device::Cpu(i),
+                    2 => Device::Gpu(i % 8),
+                    3 => Device::Nic(i),
+                    4 => Device::Psu(i),
+                    5 => Device::CoolingLoop(i),
+                    _ => Device::Facility,
+                };
+                Observation {
+                    ts_ms,
+                    // Mostly catalog ids, the rest up to a few past it
+                    // or anywhere.
+                    sensor: if near { id % 40 } else { id },
+                    component: Component {
+                        node: if nodes == 0 { n } else { n % 4 },
+                        device,
+                    },
+                    value,
+                    quality: [Quality::Good, Quality::Missing, Quality::Suspect][usize::from(q)],
+                }
+            })
+    }
+
+    proptest::proptest! {
+        /// Decoding records straight into columns builds the frame the
+        /// old builder made from the decoded batches: same values, same
+        /// dictionaries in the same order. So does `bronze_frame`. The
+        /// quality filter agrees with its expression form on it.
+        #[test]
+        fn decoder_matches_reference_builder(
+            batches in proptest::collection::vec(
+                proptest::collection::vec(any_observation(), 0..30),
+                0..5,
+            ),
+        ) {
+            let cat = tiny_catalog();
+            let records: Vec<_> = batches
+                .iter()
+                .map(|b| record(Observation::encode_batch(b)))
+                .collect();
+            let all: Vec<Observation> = records
+                .iter()
+                .flat_map(|r| Observation::decode_batch(&r.value).unwrap())
+                .collect();
+            let want = reference_bronze_frame(&all, &cat).layout();
+            let got = observation_decoder(cat.clone())(&records).unwrap();
+            proptest::prop_assert_eq!(got.layout(), want);
+            proptest::prop_assert_eq!(bronze_frame(&all, &cat).layout(), want);
+            // The one-pass quality mask keeps the rows the expression did.
+            let mask = Expr::col("quality")
+                .eq_(Expr::LitI(0))
+                .and(Expr::col("value").is_nan().not())
+                .eval_mask(&got)
+                .unwrap();
+            proptest::prop_assert_eq!(
+                quality_filter_map()(got.clone()).unwrap().layout(),
+                got.filter_mask(&mask).layout()
+            );
+        }
+    }
+
+    /// A record whose count claims more observations than its bytes
+    /// hold is a decode error, never an allocation of that count.
+    #[test]
+    fn decoder_rejects_forged_counts() {
+        let decode = observation_decoder(tiny_catalog());
+        let honest = Observation::encode_batch(&[obs(0, 1, 0, 1.0), obs(0, 2, 1, 2.0)]);
+        for forged in [u32::MAX, 3] {
+            let mut bad = honest.clone();
+            bad[..4].copy_from_slice(&forged.to_le_bytes());
+            let records = [record(honest.clone()), record(bad)];
+            assert!(
+                matches!(decode(&records), Err(PipelineError::Decode(_))),
+                "count {forged}"
+            );
+        }
+        // An unknown device code in an otherwise honest batch.
+        let mut bad = honest.clone();
+        bad[4 + 14..4 + 16].copy_from_slice(&0x0700u16.to_le_bytes());
+        assert!(matches!(
+            decode(&[record(bad)]),
+            Err(PipelineError::Decode(_))
+        ));
+        assert_eq!(decode(&[record(honest)]).unwrap().rows(), 2);
     }
 
     #[test]

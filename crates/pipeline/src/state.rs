@@ -8,10 +8,11 @@
 //! the index from pair to cell: each sensor name is interned once into a
 //! dense code, each pair once into a dense key id, and every node keeps
 //! its keys as (sensor code, key id) sorted by code. Folding an
-//! observation is a search of that short list and of the key's few open
-//! windows, so it neither allocates (unless the cell is new) nor touches
-//! a string. Snapshots are a versioned binary layout (see
-//! [`StateStore::snapshot`]).
+//! observation starts from where the previous row's key sat in that
+//! list (a `KeyHint`), falls back to a search of the list, and then
+//! checks the key's latest open window, so it neither allocates (unless
+//! the cell is new) nor touches a string. Snapshots are a versioned
+//! binary layout (see [`StateStore::snapshot`]).
 
 use oda_storage::intern::StringInterner;
 use std::cmp::Ordering;
@@ -78,14 +79,28 @@ impl KeyId {
     }
 }
 
+/// Where a [`StateStore::key_id`] lookup landed: the node, its row of
+/// the key index, and the key's position in that row. The row is
+/// trusted for that node, so a hint belongs to the store that filled
+/// it; the position is only a guess, and a stale one costs a search,
+/// never a wrong key.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyHint {
+    node: Option<i64>,
+    row: usize,
+    at: usize,
+}
+
 /// Keyed state: `(window start, node, sensor) -> CellState`, plus the
 /// Silver watermark and gap cursor.
 ///
 /// Every field is a pure function of the operation history (which keys
 /// were interned in which order, which cells hold what), never of
 /// timing or hashing order, so equal histories give equal stores and
-/// equal snapshot bytes.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// equal snapshot bytes. Equality compares that content: the sensor and
+/// key tables, the cells, the watermark and the gap cursor, not the
+/// indexes derived from them.
+#[derive(Debug, Clone, Default)]
 pub struct StateStore {
     /// Sensor code -> name, in first-intern order.
     sensors: StringInterner,
@@ -96,8 +111,9 @@ pub struct StateStore {
     /// Per node, in the order of its first key: the node and its keys as
     /// (sensor code, key id), ascending by code.
     nodes: Vec<(i64, Vec<(u32, KeyId)>)>,
-    /// Every key id, sorted by (node's decimal text, sensor name): the
-    /// emission order within a window.
+    /// Key ids `0..order.len()`, sorted by (node's decimal text, sensor
+    /// name): the emission order within a window. Keys interned since
+    /// are placed in one sort-and-merge when the order is next read.
     order: Vec<KeyId>,
     /// Key id -> that key's open windows, ascending by window start.
     cells: Vec<Vec<(i64, CellState)>>,
@@ -135,33 +151,53 @@ impl StateStore {
         &self.sensors.entries()[code as usize]
     }
 
-    /// `node`'s row of the key index, for [`StateStore::key_id`]. A new
-    /// node gets its row here; callers intern a key into it straight
-    /// away, so every row holds a key, as every restored row does.
-    pub(crate) fn node_row(&mut self, node: i64) -> usize {
+    /// `node`'s row of the key index. A new node gets its row here;
+    /// callers intern a key into it straight away, so every row holds a
+    /// key, as every restored row does.
+    fn node_row(&mut self, node: i64) -> usize {
         *self.node_rows.entry(node).or_insert_with(|| {
             self.nodes.push((node, Vec::new()));
             self.nodes.len() - 1
         })
     }
 
-    /// Id of the key (the node of `row`, `sensor`), interned on first
-    /// sight: a binary search of that node's keys, with no allocation
-    /// unless the key is new.
-    pub(crate) fn key_id(&mut self, row: usize, sensor: u32) -> KeyId {
-        let (node, keys) = &mut self.nodes[row];
+    /// Id of the key (`node`, `sensor`), interned on first sight.
+    ///
+    /// `hint` is where the previous lookup landed. The node's row is
+    /// looked up only when the node differs from the hint's; then the
+    /// hinted key and the one after it are checked before a binary
+    /// search of the node's keys. Per-GPU sensors repeat a key several
+    /// times in a row and a node's sensors mostly arrive in code order,
+    /// so the search is rare. No allocation unless the key is new.
+    pub(crate) fn key_id(&mut self, node: i64, sensor: u32, hint: &mut KeyHint) -> KeyId {
+        if hint.node != Some(node) {
+            *hint = KeyHint {
+                node: Some(node),
+                row: self.node_row(node),
+                at: 0,
+            };
+        }
+        let keys = &mut self.nodes[hint.row].1;
+        for at in [hint.at, hint.at + 1] {
+            if let Some(&(s, id)) = keys.get(at) {
+                if s == sensor {
+                    hint.at = at;
+                    return id;
+                }
+            }
+        }
         let at = match keys.binary_search_by_key(&sensor, |&(s, _)| s) {
-            Ok(at) => return keys[at].1,
+            Ok(at) => {
+                hint.at = at;
+                return keys[at].1;
+            }
             Err(at) => at,
         };
+        hint.at = at;
         let id = KeyId(u32::try_from(self.keys.len()).expect("fewer than 2^32 state keys"));
         keys.insert(at, (sensor, id));
-        self.keys.push((*node, sensor));
+        self.keys.push((node, sensor));
         self.cells.push(Vec::new());
-        let at = self
-            .order
-            .partition_point(|&k| self.key_order(k, id).is_lt());
-        self.order.insert(at, id);
         id
     }
 
@@ -171,8 +207,39 @@ impl StateStore {
     }
 
     /// Every key id in emission order.
-    pub(crate) fn keys_in_order(&self) -> &[KeyId] {
+    pub(crate) fn keys_in_order(&mut self) -> &[KeyId] {
+        self.place_keys();
         &self.order
+    }
+
+    /// Place every key interned since the last call into `order`: sort
+    /// the new ids, then merge the two sorted runs. One merge per read
+    /// rather than one insertion per new key, because a fold creates
+    /// keys by the thousand and each insertion would shift the tail of
+    /// `order`.
+    fn place_keys(&mut self) {
+        let placed = self.order.len();
+        if placed == self.keys.len() {
+            return;
+        }
+        let mut fresh: Vec<KeyId> = (placed..self.keys.len())
+            .map(|id| KeyId(id as u32))
+            .collect();
+        fresh.sort_unstable_by(|&a, &b| self.key_order(a, b));
+        let mut merged = Vec::with_capacity(self.keys.len());
+        let (mut old, mut new) = (self.order.iter().peekable(), fresh.iter().peekable());
+        while let (Some(&&a), Some(&&b)) = (old.peek(), new.peek()) {
+            if self.key_order(b, a).is_lt() {
+                merged.push(b);
+                new.next();
+            } else {
+                merged.push(a);
+                old.next();
+            }
+        }
+        merged.extend(old);
+        merged.extend(new);
+        self.order = merged;
     }
 
     /// Emission order: by the node's decimal text, then by sensor name —
@@ -188,17 +255,21 @@ impl StateStore {
     }
 
     /// Mutable accumulator for a (window, key id) cell: the per-row
-    /// path. Indexes by id and searches that key's few open windows —
-    /// no allocation unless the cell is new.
+    /// path. Indexes by id, checks the key's latest open window (where
+    /// in-order rows land), then searches its few others — no
+    /// allocation unless the cell is new.
     pub(crate) fn cell_at(&mut self, window: i64, key: KeyId) -> &mut CellState {
         let open = &mut self.cells[key.index()];
-        let at = match open.binary_search_by_key(&window, |&(w, _)| w) {
-            Ok(at) => at,
-            Err(at) => {
-                open.insert(at, (window, CellState::default()));
-                *self.windows.entry(window).or_insert(0) += 1;
-                at
-            }
+        let at = match open.last() {
+            Some(&(w, _)) if w == window => open.len() - 1,
+            _ => match open.binary_search_by_key(&window, |&(w, _)| w) {
+                Ok(at) => at,
+                Err(at) => {
+                    open.insert(at, (window, CellState::default()));
+                    *self.windows.entry(window).or_insert(0) += 1;
+                    at
+                }
+            },
         };
         &mut open[at].1
     }
@@ -212,6 +283,7 @@ impl StateStore {
         if closed.is_empty() {
             return Vec::new();
         }
+        self.place_keys();
         let mut out = Vec::with_capacity(closed.values().sum());
         for &id in &self.order {
             let open = &mut self.cells[id.index()];
@@ -343,9 +415,7 @@ impl StateStore {
                 return None;
             }
         }
-        let mut order: Vec<KeyId> = (0..keys as u32).map(KeyId).collect();
-        order.sort_unstable_by(|&a, &b| store.key_order(a, b));
-        store.order = order;
+        store.place_keys();
         let mut last: Option<(u32, i64)> = None;
         for _ in 0..r.count(CELL_BYTES)? {
             let window = r.u64()? as i64;
@@ -370,6 +440,17 @@ impl StateStore {
             _ => return None,
         };
         r.0.is_empty().then_some(store)
+    }
+}
+
+impl PartialEq for StateStore {
+    fn eq(&self, other: &StateStore) -> bool {
+        self.sensors == other.sensors
+            && self.keys == other.keys
+            && self.cells == other.cells
+            && self.windows == other.windows
+            && self.wm_ms == other.wm_ms
+            && self.gap_next == other.gap_next
     }
 }
 
@@ -452,8 +533,8 @@ mod tests {
 
     /// Key id of (`node`, `sensor`), interned on first sight.
     fn key(s: &mut StateStore, node: i64, sensor: &str) -> KeyId {
-        let (row, sensor) = (s.node_row(node), s.sensor_code(sensor));
-        s.key_id(row, sensor)
+        let sensor = s.sensor_code(sensor);
+        s.key_id(node, sensor, &mut KeyHint::default())
     }
 
     fn cell<'a>(s: &'a mut StateStore, window: i64, node: i64, sensor: &str) -> &'a mut CellState {
@@ -745,11 +826,23 @@ mod tests {
         /// the same order, bit for bit — through a snapshot/restore at
         /// every step. The nodes cross digit counts and signs, so
         /// emission order is the rendered keys' byte order, not numeric.
+        /// Each step folds one or two nodes' ticks through one
+        /// [`KeyHint`], as `fold` does, with sensors in drawn order:
+        /// repeated keys hit the hint, and sensors out of code order (or
+        /// new to the node) take its fallback.
         #[test]
         fn matches_reference_store_bit_for_bit(
             ops in proptest::collection::vec(
-                (0i64..6, 0usize..6, 0usize..5, any::<f64>(), 0u8..8),
-                1..200,
+                (
+                    0i64..6,
+                    proptest::collection::vec(
+                        (0usize..6, proptest::collection::vec(0usize..5, 1..8)),
+                        1..3,
+                    ),
+                    any::<f64>(),
+                    0u8..8,
+                ),
+                1..120,
             ),
         ) {
             const NODES: [i64; 6] = [2, 10, 100, 1, -1, i64::MIN];
@@ -757,9 +850,16 @@ mod tests {
             let mut new = StateStore::new();
             let mut old = ReferenceStore::default();
             let mut horizon = 0;
-            for (w, n, s, v, action) in ops {
-                cell(&mut new, w * 10, NODES[n], SENSORS[s]).push(v);
-                old.cell(w * 10, NODES[n], SENSORS[s]).push(v);
+            for (w, ticks, v, action) in ops {
+                let mut hint = KeyHint::default();
+                for (n, sensors) in ticks {
+                    for s in sensors {
+                        let code = new.sensor_code(SENSORS[s]);
+                        let id = new.key_id(NODES[n], code, &mut hint);
+                        new.cell_at(w * 10, id).push(v);
+                        old.cell(w * 10, NODES[n], SENSORS[s]).push(v);
+                    }
+                }
                 if action == 0 {
                     horizon += 10;
                     let got: Vec<_> = new

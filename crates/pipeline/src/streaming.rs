@@ -551,6 +551,7 @@ impl StreamingQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::KeyHint;
     use bytes::Bytes;
     use oda_faults::FaultPlan;
     use oda_storage::colfile::ColumnData;
@@ -577,8 +578,8 @@ mod tests {
     /// kept in one state cell (window 0, node 0, sensor "sum").
     fn summing_transform() -> Transform {
         Box::new(|frame: Frame, state: &mut StateStore| {
-            let (row, sensor) = (state.node_row(0), state.sensor_code("sum"));
-            let key = state.key_id(row, sensor);
+            let sensor = state.sensor_code("sum");
+            let key = state.key_id(0, sensor, &mut KeyHint::default());
             let cell = state.cell_at(0, key);
             for &v in frame.f64s("v")? {
                 cell.push(v);

@@ -3,8 +3,10 @@
 //! Each column chunk picks the cheapest of: plain, run-length (RLE),
 //! delta-varint (for timestamps and monotonic counters), or dictionary
 //! (for low-cardinality strings). The chooser is size-based: every
-//! candidate is encoded and the smallest wins — simple, deterministic,
-//! and self-tuning per chunk.
+//! candidate is sized in one pass over the column, the smallest wins
+//! (ties go to the earlier of Plain, RLE, Delta; strings prefer Plain),
+//! and only the winner is written, into a buffer of its exact size —
+//! simple, deterministic, and self-tuning per chunk.
 //!
 //! Decoding is total. Any chunk, however malformed, decodes to its values
 //! or to [`StorageError::Corrupt`], never to a panic, and a count read
@@ -191,47 +193,79 @@ fn pack7(x: u64) -> u64 {
     (x & 0x0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
 }
 
+/// Bytes `x` takes as a varint: one per started group of 7 significant
+/// bits, and one for zero.
+fn varint_len(x: u64) -> usize {
+    (64 - (x | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Encode an i64 column, choosing the smallest representation.
 pub fn encode_i64(values: &[i64]) -> Vec<u8> {
-    let plain = encode_i64_plain(values);
-    let rle = encode_i64_rle(values);
-    let delta = encode_i64_delta(values);
-    let mut best = plain;
-    for cand in [rle, delta] {
-        if cand.len() < best.len() {
-            best = cand;
-        }
-    }
-    best
+    encode_words(values, |v| v)
 }
 
-fn encode_i64_plain(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + values.len() * 8);
-    out.push(Encoding::Plain.tag());
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn encode_i64_rle(values: &[i64]) -> Vec<u8> {
-    let mut out = vec![Encoding::Rle.tag()];
-    for run in values.chunk_by(|a, b| a == b) {
-        if let Some(&v) = run.first() {
-            put_varint(&mut out, zigzag(v));
-            put_varint(&mut out, run.len() as u64);
-        }
-    }
-    out
-}
-
-fn encode_i64_delta(values: &[i64]) -> Vec<u8> {
-    let mut out = vec![Encoding::Delta.tag()];
+/// The smallest of the Plain, RLE and Delta pages of `values` as the
+/// words `word` maps them to, the earliest on a tie. One pass sizes
+/// every candidate; then only the winner is written.
+fn encode_words<T: Copy>(values: &[T], word: impl Fn(T) -> i64) -> Vec<u8> {
+    let plain = 1 + 8 * values.len();
+    let (mut rle, mut delta) = (1, 1);
     let mut prev = 0i64;
-    for &v in values {
-        put_varint(&mut out, zigzag(v.wrapping_sub(prev)));
-        prev = v;
+    let mut run = 0u64;
+    for (i, &v) in values.iter().enumerate() {
+        let w = word(v);
+        let d = zigzag(w.wrapping_sub(prev));
+        delta += varint_len(d);
+        if i > 0 && d == 0 {
+            run += 1;
+        } else {
+            if run > 0 {
+                rle += varint_len(run);
+            }
+            rle += varint_len(zigzag(w));
+            run = 1;
+        }
+        prev = w;
     }
+    if run > 0 {
+        rle += varint_len(run);
+    }
+    let mut best = (Encoding::Plain, plain);
+    for candidate in [(Encoding::Rle, rle), (Encoding::Delta, delta)] {
+        if candidate.1 < best.1 {
+            best = candidate;
+        }
+    }
+    let mut out = Vec::with_capacity(best.1);
+    out.push(best.0.tag());
+    let words = values.iter().map(|&v| word(v));
+    match best.0 {
+        Encoding::Plain => {
+            for w in words {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        Encoding::Rle => {
+            let mut words = words.peekable();
+            while let Some(w) = words.next() {
+                let mut run = 1u64;
+                while words.next_if_eq(&w).is_some() {
+                    run += 1;
+                }
+                put_varint(&mut out, zigzag(w));
+                put_varint(&mut out, run);
+            }
+        }
+        Encoding::Delta => {
+            let mut prev = 0i64;
+            for w in words {
+                put_varint(&mut out, zigzag(w.wrapping_sub(prev)));
+                prev = w;
+            }
+        }
+        Encoding::Dict => unreachable!("not a word encoding"),
+    }
+    debug_assert_eq!(out.len(), best.1, "{:?} page sized wrong", best.0);
     out
 }
 
@@ -301,12 +335,11 @@ fn decode_words<T: Copy>(
     }
 }
 
-/// Encode an f64 column. Uses plain bits, or RLE-of-bits when runs
-/// dominate (common for quantized sensors and fill values).
+/// Encode an f64 column: the integer chooser over the values' bit
+/// patterns, so RLE wins when runs dominate (common for quantized
+/// sensors and fill values).
 pub fn encode_f64(values: &[f64]) -> Vec<u8> {
-    let as_bits: Vec<i64> = values.iter().map(|v| v.to_bits() as i64).collect();
-    // Reuse the integer chooser on the bit patterns.
-    encode_i64(&as_bits)
+    encode_words(values, |v| v.to_bits() as i64)
 }
 
 /// Decode an f64 column of `count` values.
@@ -319,48 +352,61 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A dictionary page: varint(n_entries), the entries, then one varint
-/// index per row.
-fn str_dict_page(entries: &[&str], indices: &[u64]) -> Vec<u8> {
-    let mut out = vec![Encoding::Dict.tag()];
-    put_varint(&mut out, entries.len() as u64);
-    for e in entries {
-        put_str(&mut out, e);
+/// The string page for rows `indices` into `entries` (every entry used,
+/// in first-occurrence order): a dictionary page — varint(n_entries),
+/// the entries, then one varint index per row — when it is strictly
+/// smaller, else the plain page of length-prefixed values. Both are
+/// sized first; only the winner is written.
+fn str_page(entries: &[&str], indices: &[u32]) -> Vec<u8> {
+    let sizes: Vec<usize> = entries
+        .iter()
+        .map(|e| varint_len(e.len() as u64) + e.len())
+        .collect();
+    let size = |i: u32| *sizes.get(i as usize).expect("index into entries");
+    let entry = |i: u32| *entries.get(i as usize).expect("index into entries");
+    let (mut plain, mut dict) = (1, 1 + varint_len(entries.len() as u64));
+    dict += sizes.iter().sum::<usize>();
+    for &i in indices {
+        plain += size(i);
+        dict += varint_len(u64::from(i));
     }
-    for &idx in indices {
-        put_varint(&mut out, idx);
-    }
-    out
-}
-
-/// The dictionary page when it is strictly smaller, else the plain one.
-fn smaller(dict: Vec<u8>, plain: Vec<u8>) -> Vec<u8> {
-    if dict.len() < plain.len() {
-        dict
+    let mut out;
+    if dict < plain {
+        out = Vec::with_capacity(dict);
+        out.push(Encoding::Dict.tag());
+        put_varint(&mut out, entries.len() as u64);
+        for e in entries {
+            put_str(&mut out, e);
+        }
+        for &i in indices {
+            put_varint(&mut out, u64::from(i));
+        }
     } else {
-        plain
+        out = Vec::with_capacity(plain);
+        out.push(Encoding::Plain.tag());
+        for &i in indices {
+            put_str(&mut out, entry(i));
+        }
     }
+    debug_assert_eq!(out.len(), dict.min(plain), "string page sized wrong");
+    out
 }
 
 /// Encode a string column: dictionary when it wins, otherwise plain
 /// length-prefixed bytes.
 pub fn encode_str(values: &[String]) -> Vec<u8> {
-    // Plain: varint(len) + bytes per value.
-    let mut plain = vec![Encoding::Plain.tag()];
-    for v in values {
-        put_str(&mut plain, v);
-    }
     let mut entries: Vec<&str> = Vec::new();
     let mut index_of = HashMap::new();
-    let mut indices = Vec::with_capacity(values.len());
-    for v in values {
-        let idx = *index_of.entry(v.as_str()).or_insert_with(|| {
-            entries.push(v.as_str());
-            entries.len() - 1
-        });
-        indices.push(idx as u64);
-    }
-    smaller(str_dict_page(&entries, &indices), plain)
+    let indices: Vec<u32> = values
+        .iter()
+        .map(|v| {
+            *index_of.entry(v.as_str()).or_insert_with(|| {
+                entries.push(v.as_str());
+                (entries.len() - 1) as u32
+            })
+        })
+        .collect();
+    str_page(&entries, &indices)
 }
 
 /// Encode a dictionary column (`dict[codes[i]]` is row i's value)
@@ -373,24 +419,25 @@ pub fn encode_str(values: &[String]) -> Vec<u8> {
 /// # Panics
 /// If a code is not below `dict.len()`.
 pub fn encode_dict(dict: &[String], codes: &[u32]) -> Vec<u8> {
-    let mut plain = vec![Encoding::Plain.tag()];
-    // Dict candidate: remap codes into first-occurrence-in-row order and
-    // drop unused dictionary entries, matching encode_str's page layout.
+    // Remap codes into first-occurrence-in-row order and drop unused
+    // dictionary entries, matching encode_str's page layout.
     let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
     let mut used: Vec<&str> = Vec::new();
-    let mut indices: Vec<u64> = Vec::with_capacity(codes.len());
-    for &c in codes {
-        let (Some(entry), Some(slot)) = (dict.get(c as usize), remap.get_mut(c as usize)) else {
-            panic!("dictionary code {c} out of range ({} entries)", dict.len());
-        };
-        put_str(&mut plain, entry);
-        if *slot == u32::MAX {
-            *slot = used.len() as u32;
-            used.push(entry);
-        }
-        indices.push(u64::from(*slot));
-    }
-    smaller(str_dict_page(&used, &indices), plain)
+    let indices: Vec<u32> = codes
+        .iter()
+        .map(|&c| {
+            let (Some(entry), Some(slot)) = (dict.get(c as usize), remap.get_mut(c as usize))
+            else {
+                panic!("dictionary code {c} out of range ({} entries)", dict.len());
+            };
+            if *slot == u32::MAX {
+                *slot = used.len() as u32;
+                used.push(entry);
+            }
+            *slot
+        })
+        .collect();
+    str_page(&used, &indices)
 }
 
 /// Decode a string chunk of `count` values into dictionary form.
@@ -502,15 +549,142 @@ pub fn decode_str(buf: &[u8], count: usize) -> Result<Vec<String>, StorageError>
     }
 }
 
-/// The scalar decoders the chunk decoders replaced, kept as the oracle
-/// the fast ones are property-tested against: verbatim but for one
-/// checked add in the RLE arm.
+/// The scalar decoders the chunk decoders replaced and the encoders
+/// that wrote every candidate page to keep one, kept as the oracles the
+/// fast ones are property-tested against: verbatim but for one checked
+/// add in the RLE arm.
 #[cfg(test)]
 #[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod reference {
     use super::Encoding;
-    use crate::compress::{get_varint, unzigzag};
+    use crate::compress::{get_varint, put_varint, unzigzag, zigzag};
     use crate::error::StorageError;
+    use std::collections::HashMap;
+
+    /// Encode an i64 column, choosing the smallest representation.
+    pub fn encode_i64(values: &[i64]) -> Vec<u8> {
+        let plain = encode_i64_plain(values);
+        let rle = encode_i64_rle(values);
+        let delta = encode_i64_delta(values);
+        let mut best = plain;
+        for cand in [rle, delta] {
+            if cand.len() < best.len() {
+                best = cand;
+            }
+        }
+        best
+    }
+
+    pub fn encode_i64_plain(values: &[i64]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(1 + values.len() * 8);
+        out.push(Encoding::Plain.tag());
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    pub fn encode_i64_rle(values: &[i64]) -> Vec<u8> {
+        let mut out = vec![Encoding::Rle.tag()];
+        for run in values.chunk_by(|a, b| a == b) {
+            if let Some(&v) = run.first() {
+                put_varint(&mut out, zigzag(v));
+                put_varint(&mut out, run.len() as u64);
+            }
+        }
+        out
+    }
+
+    pub fn encode_i64_delta(values: &[i64]) -> Vec<u8> {
+        let mut out = vec![Encoding::Delta.tag()];
+        let mut prev = 0i64;
+        for &v in values {
+            put_varint(&mut out, zigzag(v.wrapping_sub(prev)));
+            prev = v;
+        }
+        out
+    }
+
+    /// Encode an f64 column. Uses plain bits, or RLE-of-bits when runs
+    /// dominate (common for quantized sensors and fill values).
+    pub fn encode_f64(values: &[f64]) -> Vec<u8> {
+        let as_bits: Vec<i64> = values.iter().map(|v| v.to_bits() as i64).collect();
+        // Reuse the integer chooser on the bit patterns.
+        encode_i64(&as_bits)
+    }
+
+    pub fn put_str(out: &mut Vec<u8>, s: &str) {
+        put_varint(out, s.len() as u64);
+        out.extend_from_slice(s.as_bytes());
+    }
+
+    /// A dictionary page: varint(n_entries), the entries, then one varint
+    /// index per row.
+    pub fn str_dict_page(entries: &[&str], indices: &[u64]) -> Vec<u8> {
+        let mut out = vec![Encoding::Dict.tag()];
+        put_varint(&mut out, entries.len() as u64);
+        for e in entries {
+            put_str(&mut out, e);
+        }
+        for &idx in indices {
+            put_varint(&mut out, idx);
+        }
+        out
+    }
+
+    /// The dictionary page when it is strictly smaller, else the plain one.
+    fn smaller(dict: Vec<u8>, plain: Vec<u8>) -> Vec<u8> {
+        if dict.len() < plain.len() {
+            dict
+        } else {
+            plain
+        }
+    }
+
+    /// Encode a string column: dictionary when it wins, otherwise plain
+    /// length-prefixed bytes.
+    pub fn encode_str(values: &[String]) -> Vec<u8> {
+        // Plain: varint(len) + bytes per value.
+        let mut plain = vec![Encoding::Plain.tag()];
+        for v in values {
+            put_str(&mut plain, v);
+        }
+        let mut entries: Vec<&str> = Vec::new();
+        let mut index_of = HashMap::new();
+        let mut indices = Vec::with_capacity(values.len());
+        for v in values {
+            let idx = *index_of.entry(v.as_str()).or_insert_with(|| {
+                entries.push(v.as_str());
+                entries.len() - 1
+            });
+            indices.push(idx as u64);
+        }
+        smaller(str_dict_page(&entries, &indices), plain)
+    }
+
+    /// Encode a dictionary column (`dict[codes[i]]` is row i's value)
+    /// without materializing per-row strings.
+    pub fn encode_dict(dict: &[String], codes: &[u32]) -> Vec<u8> {
+        let mut plain = vec![Encoding::Plain.tag()];
+        // Dict candidate: remap codes into first-occurrence-in-row order and
+        // drop unused dictionary entries, matching encode_str's page layout.
+        let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
+        let mut used: Vec<&str> = Vec::new();
+        let mut indices: Vec<u64> = Vec::with_capacity(codes.len());
+        for &c in codes {
+            let (Some(entry), Some(slot)) = (dict.get(c as usize), remap.get_mut(c as usize))
+            else {
+                panic!("dictionary code {c} out of range ({} entries)", dict.len());
+            };
+            put_str(&mut plain, entry);
+            if *slot == u32::MAX {
+                *slot = used.len() as u32;
+                used.push(entry);
+            }
+            indices.push(u64::from(*slot));
+        }
+        smaller(str_dict_page(&used, &indices), plain)
+    }
 
     /// Decode an i64 column of `count` values.
     pub fn decode_i64(buf: &[u8], count: usize) -> Result<Vec<i64>, StorageError> {
@@ -714,6 +888,9 @@ mod reference {
 #[cfg(test)]
 #[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
+    use super::reference::{
+        encode_i64_delta, encode_i64_plain, encode_i64_rle, put_str, str_dict_page,
+    };
     use super::*;
     use proptest::prelude::*;
 
@@ -1053,6 +1230,100 @@ mod tests {
         long.extend_from_slice(&[0xff; 10]);
         long.push(0x01);
         assert!(is_corrupt(decode_i64(&long, 1)));
+    }
+
+    /// Inputs on which two candidates tie for the smallest page, and
+    /// the tag that must win: the earlier of Plain, RLE, Delta, and
+    /// plain strings over a dictionary page of the same size.
+    #[test]
+    fn chooser_ties_go_to_the_earlier_encoding() {
+        let cases: [(&[i64], u8); 5] = [
+            // Plain 17 = RLE 17 < Delta 20.
+            (&[1 << 62, 1 << 20], 0),
+            // Plain 9 = Delta 9 < RLE 10: an 8-byte varint.
+            (&[1 << 48], 0),
+            // RLE = Delta < Plain: one value twice.
+            (&[5, 5], 1),
+            (&[i64::MIN, i64::MIN], 1),
+            // Only an empty page: every candidate is the tag alone.
+            (&[], 0),
+        ];
+        for (vals, tag) in cases {
+            let enc = encode_i64(vals);
+            assert_eq!(enc, reference::encode_i64(vals), "{vals:?}");
+            assert_eq!(enc[0], tag, "{vals:?}");
+            let floats: Vec<f64> = vals.iter().map(|&v| f64::from_bits(v as u64)).collect();
+            assert_eq!(encode_f64(&floats), enc, "{vals:?} as f64 bits");
+        }
+        // Strings: plain 7 = dictionary 7, and plain wins; one more row
+        // tips it to the dictionary.
+        for (rows, tag) in [(2, 0), (3, 3)] {
+            let vals = vec!["ab".to_string(); rows];
+            let enc = encode_str(&vals);
+            assert_eq!(enc, reference::encode_str(&vals), "{rows} rows");
+            assert_eq!(enc[0], tag, "{rows} rows");
+            let dict = ["unused".to_string(), "ab".to_string()];
+            assert_eq!(encode_dict(&dict, &vec![1; rows]), enc, "{rows} rows");
+        }
+    }
+
+    /// Values whose varints (as values and as deltas) take 1 to 10
+    /// bytes, the extremes (`any` draws them often), and runs of
+    /// repeats, so the three page sizes cross and tie.
+    fn words() -> impl Strategy<Value = Vec<i64>> {
+        let word = (any::<bool>(), 0u32..=64, any::<u64>(), any::<i64>())
+            .prop_map(|(size_it, bits, raw, v)| if size_it { sized(bits, raw) } else { v });
+        proptest::collection::vec((word, 1usize..5), 0..40).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(w, n)| std::iter::repeat_n(w, n))
+                .collect()
+        })
+    }
+
+    /// f64 columns of arbitrary values (`any` draws NaN, ±0.0 and the
+    /// infinities often) and quiet NaNs with arbitrary payloads and
+    /// signs, in runs.
+    fn floats() -> impl Strategy<Value = Vec<f64>> {
+        let float = (any::<bool>(), any::<u64>(), any::<f64>()).prop_map(|(nan, bits, v)| {
+            if nan {
+                f64::from_bits(0x7ff8_0000_0000_0000 | (bits & 0x8007_ffff_ffff_ffff))
+            } else {
+                v
+            }
+        });
+        proptest::collection::vec((float, 1usize..4), 0..40).prop_map(|runs| {
+            runs.into_iter()
+                .flat_map(|(f, n)| std::iter::repeat_n(f, n))
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// The sizing choosers write the bytes the write-every-page
+        /// choosers kept.
+        #[test]
+        fn word_choosers_match_reference(ints in words(), floats in floats()) {
+            prop_assert_eq!(encode_i64(&ints), reference::encode_i64(&ints));
+            prop_assert_eq!(encode_f64(&floats), reference::encode_f64(&floats));
+            let bits: Vec<f64> = ints.iter().map(|&v| f64::from_bits(v as u64)).collect();
+            prop_assert_eq!(encode_f64(&bits), reference::encode_f64(&bits));
+        }
+
+        /// Dictionary columns: unused, shuffled and multi-byte entries,
+        /// indices past one varint byte, both page kinds winning.
+        #[test]
+        fn dict_chooser_matches_reference(
+            dict in proptest::collection::vec(".{0,12}", 1..200),
+            picks in proptest::collection::vec((any::<u32>(), 0u32..5), 0..300),
+        ) {
+            let codes: Vec<u32> = picks
+                .iter()
+                .map(|&(c, spread)| c % (dict.len() as u32).min(1 << (spread * 2 + 1)))
+                .collect();
+            prop_assert_eq!(encode_dict(&dict, &codes), reference::encode_dict(&dict, &codes));
+            let rows: Vec<String> = codes.iter().map(|&c| dict[c as usize].clone()).collect();
+            prop_assert_eq!(encode_str(&rows), reference::encode_str(&rows));
+        }
     }
 
     proptest! {

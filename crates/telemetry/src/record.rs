@@ -3,6 +3,15 @@
 //! One [`Observation`] row encapsulates an individual sensor reading
 //! exactly as §V-A of the paper describes the "Bronze" stage: tabular
 //! long format, one row per (timestamp, component, sensor, value).
+//!
+//! This module also holds the Bronze wire format: the first decoder of
+//! bytes that arrive from a producer. Decoding is total — a malformed
+//! record or batch yields `None`, never a panic — and a batch's declared
+//! count is checked against its length before anything is allocated for
+//! it. [`Observation::batch`] walks a batch's records in place, so a
+//! consumer can decode straight into its own layout.
+
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use serde::{Deserialize, Serialize};
 
@@ -164,14 +173,16 @@ pub const OBS_WIRE_BYTES: usize = 8 + 2 + 4 + 2 + 8 + 1;
 pub const OBS_RAW_BYTES: usize = 120;
 
 impl Observation {
-    /// Append the fixed-width binary encoding to `buf`.
+    /// Append the fixed-width binary encoding to `buf`, in one append.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.ts_ms.to_le_bytes());
-        buf.extend_from_slice(&self.sensor.to_le_bytes());
-        buf.extend_from_slice(&self.component.node.to_le_bytes());
-        buf.extend_from_slice(&self.component.device.code().to_le_bytes());
-        buf.extend_from_slice(&self.value.to_le_bytes());
-        buf.push(self.quality.code());
+        let mut wire = [0; OBS_WIRE_BYTES];
+        wire[0..8].copy_from_slice(&self.ts_ms.to_le_bytes());
+        wire[8..10].copy_from_slice(&self.sensor.to_le_bytes());
+        wire[10..14].copy_from_slice(&self.component.node.to_le_bytes());
+        wire[14..16].copy_from_slice(&self.component.device.code().to_le_bytes());
+        wire[16..24].copy_from_slice(&self.value.to_le_bytes());
+        wire[24] = self.quality.code();
+        buf.extend_from_slice(&wire);
     }
 
     /// Decode one observation from the start of `buf`.
@@ -179,25 +190,28 @@ impl Observation {
     /// Returns the observation and the number of bytes consumed, or
     /// `None` if `buf` is too short or malformed.
     pub fn decode(buf: &[u8]) -> Option<(Observation, usize)> {
-        if buf.len() < OBS_WIRE_BYTES {
-            return None;
-        }
-        let ts_ms = i64::from_le_bytes(buf[0..8].try_into().ok()?);
-        let sensor = u16::from_le_bytes(buf[8..10].try_into().ok()?);
-        let node = u32::from_le_bytes(buf[10..14].try_into().ok()?);
-        let device = Device::from_code(u16::from_le_bytes(buf[14..16].try_into().ok()?))?;
-        let value = f64::from_le_bytes(buf[16..24].try_into().ok()?);
-        let quality = Quality::from_code(buf[24])?;
-        Some((
-            Observation {
-                ts_ms,
-                sensor,
-                component: Component { node, device },
-                value,
-                quality,
+        let wire = buf.first_chunk::<OBS_WIRE_BYTES>()?;
+        Some((Observation::from_wire(wire)?, OBS_WIRE_BYTES))
+    }
+
+    /// Decode one fixed-width record; `None` for an unknown device or
+    /// quality code.
+    fn from_wire(wire: &[u8; OBS_WIRE_BYTES]) -> Option<Observation> {
+        let (ts_ms, rest) = wire.split_first_chunk::<8>()?;
+        let (sensor, rest) = rest.split_first_chunk::<2>()?;
+        let (node, rest) = rest.split_first_chunk::<4>()?;
+        let (device, rest) = rest.split_first_chunk::<2>()?;
+        let (value, rest) = rest.split_first_chunk::<8>()?;
+        Some(Observation {
+            ts_ms: i64::from_le_bytes(*ts_ms),
+            sensor: u16::from_le_bytes(*sensor),
+            component: Component {
+                node: u32::from_le_bytes(*node),
+                device: Device::from_code(u16::from_le_bytes(*device))?,
             },
-            OBS_WIRE_BYTES,
-        ))
+            value: f64::from_le_bytes(*value),
+            quality: Quality::from_code(*rest.first()?)?,
+        })
     }
 
     /// Encode a batch into a single buffer (length-prefixed by count).
@@ -210,28 +224,34 @@ impl Observation {
         buf
     }
 
-    /// Decode a batch produced by [`Observation::encode_batch`].
-    pub fn decode_batch(buf: &[u8]) -> Option<Vec<Observation>> {
-        if buf.len() < 4 {
+    /// The records of a batch produced by [`Observation::encode_batch`],
+    /// decoded one at a time as the iterator is walked (`None` items are
+    /// malformed records). Returns `None` unless the declared count
+    /// accounts for exactly the bytes that follow it, so a forged count
+    /// is refused before any caller sizes anything by it.
+    pub fn batch(buf: &[u8]) -> Option<impl ExactSizeIterator<Item = Option<Observation>> + '_> {
+        let (count, body) = buf.split_first_chunk::<4>()?;
+        let count = usize::try_from(u32::from_le_bytes(*count)).ok()?;
+        if count.checked_mul(OBS_WIRE_BYTES)? != body.len() {
             return None;
         }
-        let n = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-        let mut out = Vec::with_capacity(n);
-        let mut off = 4;
-        for _ in 0..n {
-            let (obs, used) = Observation::decode(&buf[off..])?;
-            out.push(obs);
-            off += used;
+        let (records, _) = body.as_chunks::<OBS_WIRE_BYTES>();
+        Some(records.iter().map(Observation::from_wire))
+    }
+
+    /// Decode a batch produced by [`Observation::encode_batch`].
+    pub fn decode_batch(buf: &[u8]) -> Option<Vec<Observation>> {
+        let records = Observation::batch(buf)?;
+        let mut out = Vec::with_capacity(records.len());
+        for obs in records {
+            out.push(obs?);
         }
-        if off == buf.len() {
-            Some(out)
-        } else {
-            None
-        }
+        Some(out)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -313,6 +333,35 @@ mod tests {
         let mut buf = Observation::encode_batch(&batch);
         buf.push(0xff);
         assert!(Observation::decode_batch(&buf).is_none());
+    }
+
+    /// A forged count is refused before anything is reserved for it: a
+    /// 29-byte record claiming `u32::MAX` observations once asked the
+    /// allocator for 137 GB and aborted the process.
+    #[test]
+    fn forged_batch_counts_are_rejected() {
+        let batch = vec![sample(), sample()];
+        let honest = Observation::encode_batch(&batch);
+        for forged in [u32::MAX, 3, 1] {
+            let mut buf = honest.clone();
+            buf[..4].copy_from_slice(&forged.to_le_bytes());
+            assert!(Observation::decode_batch(&buf).is_none(), "count {forged}");
+            assert!(Observation::batch(&buf).is_none(), "count {forged}");
+        }
+        let mut tiny = vec![0xff; 4];
+        tiny.extend_from_slice(&[0; 25]);
+        assert!(Observation::decode_batch(&tiny).is_none());
+        assert!(Observation::decode_batch(&[0, 0, 0]).is_none());
+    }
+
+    #[test]
+    fn batch_with_a_bad_record_is_rejected() {
+        let mut buf = Observation::encode_batch(&[sample(), sample()]);
+        // The second record's quality byte.
+        buf[4 + 2 * OBS_WIRE_BYTES - 1] = 7;
+        assert!(Observation::decode_batch(&buf).is_none());
+        let items: Vec<_> = Observation::batch(&buf).unwrap().collect();
+        assert_eq!(items, vec![Some(sample()), None]);
     }
 
     #[test]
