@@ -9,11 +9,10 @@
 //! node-instability rule correlating link flaps with node failures.
 
 use oda_telemetry::events::{Event, EventKind};
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 
 /// A raised alert.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SecurityAlert {
     /// Alert time (ms): the triggering event's timestamp.
     pub ts_ms: i64,

@@ -13,12 +13,11 @@
 use oda_storage::lake::Lake;
 use oda_telemetry::events::{Event, Severity};
 use oda_telemetry::jobs::Job;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything the support engineer needs for one ticket.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TicketContext {
     /// The user's jobs overlapping the ticket window.
     pub jobs: Vec<TicketJob>,
@@ -30,7 +29,7 @@ pub struct TicketContext {
 }
 
 /// One job row in the ticket context.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TicketJob {
     /// Job id.
     pub job_id: u64,

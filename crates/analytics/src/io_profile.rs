@@ -9,11 +9,10 @@
 
 use oda_pipeline::{Frame, PipelineError};
 use oda_telemetry::jobs::Job;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One job's I/O summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobIoProfile {
     /// Job id.
     pub job_id: u64,

@@ -15,11 +15,11 @@
 use crate::profiles::{extract_profiles, JobPowerProfile};
 use oda_pipeline::{Frame, PipelineError};
 use oda_telemetry::jobs::Job;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Interactive query result row: one job's power summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProfileSummary {
     /// Job id.
     pub job_id: u64,
@@ -292,5 +292,23 @@ mod tests {
         let idx = LvaIndex::build(extract_profiles(&silver, &jobs, 15_000).unwrap());
         let indexed = idx.query_range(0, 60_000);
         assert_eq!(indexed, scanned);
+    }
+
+    /// The summary row's JSON, byte for byte.
+    #[test]
+    fn summary_bytes_are_pinned() {
+        let s = ProfileSummary {
+            job_id: 7,
+            archetype: "hpl".to_string(),
+            nodes: 4,
+            mean_w: 350.5,
+            peak_w: 512.0,
+            duration_s: 3600.0,
+            energy_kwh: 1.402,
+        };
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"job_id":7,"archetype":"hpl","nodes":4,"mean_w":350.5,"peak_w":512,"duration_s":3600,"energy_kwh":1.402}"#
+        );
     }
 }

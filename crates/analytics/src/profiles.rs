@@ -8,11 +8,10 @@
 
 use oda_pipeline::Frame;
 use oda_telemetry::jobs::Job;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// One job's power-vs-time series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobPowerProfile {
     /// Job id.
     pub job_id: u64,

@@ -10,10 +10,10 @@ use oda_pipeline::Frame;
 use oda_storage::colfile::ColumnData;
 use oda_telemetry::jobs::{Job, PROGRAMS};
 use oda_telemetry::system::SystemModel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One program's usage row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProgramUsage {
     /// Program name ("INCITE", ...).
     pub program: String,
@@ -32,7 +32,7 @@ pub struct ProgramUsage {
 }
 
 /// The compiled report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RatsReport {
     /// Per-program rows, in [`PROGRAMS`] order.
     pub rows: Vec<ProgramUsage>,
@@ -195,5 +195,26 @@ mod tests {
         for p in PROGRAMS {
             assert!(table.contains(p), "missing {p}");
         }
+    }
+
+    /// The report's JSON, byte for byte.
+    #[test]
+    fn report_bytes_are_pinned() {
+        let report = RatsReport {
+            rows: vec![ProgramUsage {
+                program: "INCITE".to_string(),
+                jobs: 3,
+                node_hours: 12.5,
+                cpu_hours: 25.0,
+                gpu_hours: 100.0,
+                allocation_node_hours: 1000.0,
+                burn_rate: 0.0125,
+            }],
+            total_node_hours: 12.5,
+        };
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            r#"{"rows":[{"program":"INCITE","jobs":3,"node_hours":12.5,"cpu_hours":25,"gpu_hours":100,"allocation_node_hours":1000,"burn_rate":0.0125}],"total_node_hours":12.5}"#
+        );
     }
 }

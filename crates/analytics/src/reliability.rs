@@ -6,11 +6,10 @@
 //! offender" distribution that drives proactive hardware replacement.
 
 use oda_telemetry::events::{Event, EventKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Fleet reliability summary over an observation window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReliabilityReport {
     /// Observation window length in hours.
     pub window_hours: f64,

@@ -16,10 +16,9 @@ use oda_pipeline::medallion::{observation_decoder, streaming_silver_transform};
 use oda_pipeline::streaming::{MemorySink, StreamingQuery};
 use oda_stream::Consumer;
 use oda_telemetry::sensors::DataSource;
-use serde::{Deserialize, Serialize};
 
 /// Result of one campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Stream explored.
     pub stream: StreamRow,

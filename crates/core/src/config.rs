@@ -2,10 +2,9 @@
 
 use oda_telemetry::jobs::WorkloadConfig;
 use oda_telemetry::system::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a facility build.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FacilityConfig {
     /// Systems to instantiate.
     pub systems: Vec<SystemModel>,

@@ -10,11 +10,10 @@ use oda_stream::{Broker, RetentionPolicy};
 use oda_telemetry::events::Event;
 use oda_telemetry::jobs::{Job, JobEvent};
 use oda_telemetry::{SystemModel, TelemetryGenerator};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Aggregate statistics of one facility tick.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TickStats {
     /// Observations published.
     pub observations: usize,

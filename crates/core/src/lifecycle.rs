@@ -15,10 +15,9 @@ use oda_pipeline::checkpoint::CheckpointStore;
 use oda_pipeline::medallion::{observation_decoder, streaming_silver_transform};
 use oda_pipeline::streaming::{MemorySink, StreamingQuery};
 use oda_stream::Consumer;
-use serde::{Deserialize, Serialize};
 
 /// Decision produced by one loop iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Adjustment {
     /// Thermal headroom available: raise the coolant supply set point
     /// to save cooling energy (warm-water operation).
@@ -36,7 +35,7 @@ pub enum Adjustment {
 }
 
 /// Indicators and outcome of one iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoopReport {
     /// Silver rows analyzed this iteration.
     pub silver_rows: usize,

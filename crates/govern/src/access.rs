@@ -5,11 +5,10 @@
 //! per (project, channel, dataset), conditional on an approved request,
 //! and every access is logged.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A data-service channel (Fig. 5 tiers as access channels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Channel {
     /// Streaming subscription.
     Stream,
@@ -22,7 +21,7 @@ pub enum Channel {
 }
 
 /// One access-log line.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessRecord {
     /// Project performing the access.
     pub project: String,

@@ -7,10 +7,8 @@
 //! paper's finding is that this gate *accelerates* empowerment by
 //! making release safe and repeatable.
 
-use serde::{Deserialize, Serialize};
-
 /// The Table II reviewers, in review order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AdvisoryStage {
     /// Considers purpose and interpretations that could harm operations.
     DataOwner,
@@ -47,7 +45,7 @@ impl AdvisoryStage {
 }
 
 /// A request to use or release data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReleaseRequest {
     /// Request id (assigned at submit).
     pub id: u64,
@@ -101,7 +99,7 @@ impl ReleaseRequest {
 }
 
 /// One reviewer's outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Decision {
     /// Proceed to the next stage.
     Approve,
@@ -112,7 +110,7 @@ pub enum Decision {
 }
 
 /// Current state of a request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestState {
     /// Waiting at a stage.
     UnderReview(AdvisoryStage),
@@ -128,7 +126,7 @@ pub enum RequestState {
 }
 
 /// Audit-log line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     /// Request id.
     pub request: u64,

@@ -1,9 +1,7 @@
 //! The Table I registry: areas of operational data usage.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UsageEntry {
     /// Organizational division ("System Management", ...).
     pub division: &'static str,

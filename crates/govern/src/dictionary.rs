@@ -7,11 +7,10 @@
 //! fields is filled — completeness gates maturity promotion to L3.
 
 use crate::maturity::StreamRow;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One sensor's dictionary entry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DictionaryEntry {
     /// Sensor/stream name.
     pub name: String,
@@ -39,7 +38,7 @@ impl DictionaryEntry {
 }
 
 /// Dictionary grouped by stream row.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DataDictionary {
     entries: BTreeMap<StreamRow, Vec<DictionaryEntry>>,
 }

@@ -9,10 +9,9 @@
 //! time comes from the telemetry that raised the incident.
 
 use crate::advisory::{DataRuc, ReleaseRequest, RequestState};
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle of an incident.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IncidentStatus {
     /// Raised by a detector, not yet reviewed.
     Open,
@@ -26,7 +25,7 @@ pub enum IncidentStatus {
 }
 
 /// One operational incident raised from the alert stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// Sequential incident id.
     pub id: u64,

@@ -9,11 +9,10 @@
 //! cell-for-cell for the two generations (Mountain, Compass).
 
 use crate::dictionary::DataDictionary;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Data-usage readiness level (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Maturity {
     /// Use case identified; collection planned.
     L0,
@@ -64,7 +63,7 @@ impl Maturity {
 }
 
 /// Organizational areas — the X axis of Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Area {
     /// System management.
     SystemMgmt,
@@ -113,7 +112,7 @@ impl Area {
 }
 
 /// Data-stream rows — the Y axis of Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StreamRow {
     /// Compute-node hardware performance counters.
     PerfCounters,
@@ -192,7 +191,7 @@ impl StreamRow {
 }
 
 /// One cell: maturity on each of the two tracked generations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cell {
     /// Maturity on the Mountain (prior) generation.
     pub mountain: Maturity,
@@ -201,7 +200,7 @@ pub struct Cell {
 }
 
 /// The full Fig. 3 matrix plus promotion rules.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MaturityMatrix {
     cells: BTreeMap<(StreamRow, Area), Cell>,
 }

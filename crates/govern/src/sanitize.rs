@@ -6,10 +6,8 @@
 //! Deterministic pseudonymization (salted hash) keeps joins possible
 //! across released artifacts while severing identity.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic sanitizer with a per-release salt.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sanitizer {
     salt: u64,
 }

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Training configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Hidden layer width.
     pub hidden: usize,
@@ -46,7 +46,7 @@ impl Default for TrainConfig {
 }
 
 /// Evaluation artifacts of one training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Held-out accuracy.
     pub test_accuracy: f64,
@@ -272,5 +272,15 @@ mod tests {
             "gappy accuracy {}",
             eval.test_accuracy
         );
+    }
+
+    /// The model artifact, byte for byte: the classifier wraps the MLP,
+    /// its dense layers and their matrices, so this pins all four.
+    #[test]
+    fn model_bytes_are_pinned() {
+        let json = r#"{"model":{"layers":[{"w":{"rows":2,"cols":1,"data":[0.5,-1.25]},"b":[0.125]}]},"classes":["hpl","md"]}"#;
+        let clf = ProfileClassifier::from_bytes(json.as_bytes()).unwrap();
+        assert_eq!(clf.classes, ["hpl", "md"]);
+        assert_eq!(std::str::from_utf8(&clf.to_bytes()).unwrap(), json);
     }
 }

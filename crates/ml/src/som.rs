@@ -8,10 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular SOM over fixed-dimension feature vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SelfOrganizingMap {
     /// Grid width.
     pub width: usize,

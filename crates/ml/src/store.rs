@@ -5,12 +5,11 @@
 //! pin makes runs reproducible: same version + same seed = same model.
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A stored featurized dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSet {
     /// Feature vectors.
     pub features: Vec<Vec<f64>>,

@@ -7,11 +7,10 @@
 
 use crate::store::content_hash;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One recorded training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// Dense run id.
     pub id: u64,

@@ -486,8 +486,9 @@ impl Frame {
 mod tests {
     use super::*;
 
-    /// The concat that copy-on-wrote the first frame and grew by
-    /// appending, kept as the oracle for the sized one.
+    /// The concat that grows the first frame's columns by appending,
+    /// rebuilding each as an owned vector per step, kept as the oracle
+    /// for the sized one.
     fn reference_concat(frames: &[Frame]) -> Result<Frame, PipelineError> {
         let Some(first) = frames.first() else {
             return Frame::new(Vec::new());
@@ -506,13 +507,13 @@ mod tests {
             for (dst, src) in columns.iter_mut().zip(&f.columns) {
                 match (dst, src) {
                     (ColumnData::I64(d), ColumnData::I64(s)) => {
-                        d.with_mut(|v| v.extend_from_slice(&s[..]))
+                        *d = [&d[..], &s[..]].concat().into()
                     }
                     (ColumnData::F64(d), ColumnData::F64(s)) => {
-                        d.with_mut(|v| v.extend_from_slice(&s[..]))
+                        *d = [&d[..], &s[..]].concat().into()
                     }
                     (ColumnData::Str(d), ColumnData::Str(s)) => {
-                        d.with_mut(|v| v.extend_from_slice(&s[..]))
+                        *d = [&d[..], &s[..]].concat().into()
                     }
                     (
                         ColumnData::Dict { dict, codes },
@@ -522,11 +523,11 @@ mod tests {
                         },
                     ) => {
                         if Arc::ptr_eq(dict, s_dict) || **dict == **s_dict {
-                            codes.with_mut(|v| v.extend_from_slice(&s_codes[..]));
+                            *codes = [&codes[..], &s_codes[..]].concat().into();
                         } else {
                             let remap = reference_merge_dicts(dict, s_dict);
-                            codes
-                                .with_mut(|v| v.extend(s_codes.iter().map(|&c| remap[c as usize])));
+                            let appended = s_codes.iter().map(|&c| remap[c as usize]);
+                            *codes = codes.iter().copied().chain(appended).collect();
                         }
                     }
                     (ColumnData::Dict { dict, codes }, ColumnData::Str(s)) => {
@@ -546,13 +547,14 @@ mod tests {
                                 })
                             })
                             .collect();
-                        codes.with_mut(|v| v.extend_from_slice(&new_codes));
+                        *codes = [&codes[..], &new_codes[..]].concat().into();
                         if !added.is_empty() {
                             Arc::make_mut(dict).extend(added);
                         }
                     }
                     (ColumnData::Str(d), ColumnData::Dict { dict, codes }) => {
-                        d.with_mut(|v| v.extend(codes.iter().map(|&c| dict[c as usize].clone())));
+                        let appended = codes.iter().map(|&c| dict[c as usize].clone());
+                        *d = d.iter().cloned().chain(appended).collect();
                     }
                     _ => {
                         return Err(PipelineError::TypeMismatch {

@@ -44,7 +44,7 @@ pub enum ColumnType {
 /// Every variant holds a shared [`Buffer`] view, so cloning a column —
 /// and by extension selecting, slicing, or concatenating frames built
 /// on top of it — bumps a refcount instead of copying element data.
-/// Mutation goes through the buffer's copy-on-write API.
+/// Buffers are immutable; new contents mean a new column.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     /// Integer values.
@@ -967,16 +967,25 @@ mod tests {
         }
     }
 
+    /// The footer bytes of a sealed `file`.
+    fn footer_of(file: &[u8]) -> &[u8] {
+        let n = file.len();
+        let len = u64::from_le_bytes(file[n - 12..n - 4].try_into().unwrap()) as usize;
+        &file[n - 12 - len..n - 12]
+    }
+
     /// `file` with its footer rewritten by `edit` and re-sealed — what a
     /// buggy or hostile writer could hand `open`.
     fn with_footer(file: &[u8], edit: impl FnOnce(&mut Footer)) -> Vec<u8> {
-        let n = file.len();
-        let len = u64::from_le_bytes(file[n - 12..n - 4].try_into().unwrap()) as usize;
-        let mut footer: Footer = serde_json::from_slice(&file[n - 12 - len..n - 12]).unwrap();
+        let mut footer: Footer = serde_json::from_slice(footer_of(file)).unwrap();
         edit(&mut footer);
-        let json = serde_json::to_vec(&footer).unwrap();
-        let mut out = file[..n - 12 - len].to_vec();
-        out.extend_from_slice(&json);
+        with_raw_footer(file, &serde_json::to_vec(&footer).unwrap())
+    }
+
+    /// `file` with its footer replaced by `json` and re-sealed.
+    fn with_raw_footer(file: &[u8], json: &[u8]) -> Vec<u8> {
+        let mut out = file[..file.len() - 12 - footer_of(file).len()].to_vec();
+        out.extend_from_slice(json);
         out.extend_from_slice(&(json.len() as u64).to_le_bytes());
         out.extend_from_slice(MAGIC);
         out
@@ -993,6 +1002,18 @@ mod tests {
         let mut bytes = one_group_file();
         let n = bytes.len();
         bytes[n - 12..n - 4].copy_from_slice(&u64::MAX.to_le_bytes());
+        let opened = TableFile::open(bytes).map(|f| f.num_rows());
+        assert!(
+            matches!(opened, Err(StorageError::Corrupt(_))),
+            "{opened:?}"
+        );
+    }
+
+    #[test]
+    fn deeply_nested_footer_is_corrupt_not_a_stack_overflow() {
+        let depth = 100_000;
+        let json = "[".repeat(depth) + &"]".repeat(depth);
+        let bytes = with_raw_footer(&one_group_file(), json.as_bytes());
         let opened = TableFile::open(bytes).map(|f| f.num_rows());
         assert!(
             matches!(opened, Err(StorageError::Corrupt(_))),
@@ -1174,5 +1195,19 @@ mod tests {
         let f = TableFile::open(w.finish()).unwrap();
         assert_eq!(f.num_rows(), 0);
         assert_eq!(f.row_group_count(), 0);
+    }
+
+    /// The colfile footer, byte for byte, with every footer type in it:
+    /// schema, row groups, chunk stats of each kind, and an index entry.
+    #[test]
+    fn indexed_footer_bytes_are_pinned() {
+        let mut w = TableFile::writer(schema());
+        w.index_column("sensor").unwrap();
+        w.write_row_group(&group(0, 3)).unwrap();
+        let file = w.finish();
+        assert_eq!(
+            std::str::from_utf8(footer_of(&file)).unwrap(),
+            r#"{"schema":{"columns":[["ts_ms","I64"],["value","F64"],["sensor","Str"]]},"row_groups":[{"rows":3,"chunks":[{"offset":4,"len":7,"stats":{"I64":{"min":0,"max":2000}}},{"offset":11,"len":23,"stats":{"F64":{"min":100,"max":102}}},{"offset":34,"len":11,"stats":"None"}]}],"indexes":[{"column":"sensor","offset":45,"len":60}]}"#
+        );
     }
 }

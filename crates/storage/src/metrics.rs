@@ -226,8 +226,7 @@ mod tests {
         // Share and copy through real buffers so the globals move.
         let b: crate::buffer::Buffer<i64> = vec![1, 2, 3, 4].into();
         let view = b.clone();
-        let mut copy = view.slice(1, 2);
-        let _ = copy.make_mut();
+        let _ = view.slice(1, 2).into_vec();
         m.publish();
         m.publish();
         if oda_obs::enabled() {
@@ -235,7 +234,7 @@ mod tests {
             let copied = reg.counter_value("frame_bytes_copied_total", &[]);
             // Other tests share the process globals: assert floors only.
             assert!(shared >= 2, "clone + slice both share: {shared}");
-            assert!(copied >= 16, "windowed make_mut copies 2x8 bytes: {copied}");
+            assert!(copied >= 16, "windowed into_vec copies 2x8 bytes: {copied}");
             // Publishing twice must not double-count: the registry can
             // never exceed the monotonic process-wide totals.
             let (g_copied, g_shared) = crate::buffer::buffer_stats();

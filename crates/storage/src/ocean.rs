@@ -359,4 +359,16 @@ mod tests {
         // Full-range scan sees everything.
         assert_eq!(ds.scan_range("ts_ms", 0.0, 1e12).unwrap().len(), 10);
     }
+
+    /// The dataset's schema object, byte for byte.
+    #[test]
+    fn schema_object_bytes_are_pinned() {
+        let o = Ocean::new();
+        OceanDataset::create(o.clone(), "b", "d", schema()).unwrap();
+        let body = o.get("b", "datasets/d/_schema.json").unwrap();
+        assert_eq!(
+            std::str::from_utf8(&body).unwrap(),
+            r#"{"columns":[["ts_ms","I64"],["v","F64"]]}"#
+        );
+    }
 }

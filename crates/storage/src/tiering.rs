@@ -10,12 +10,11 @@
 use crate::metrics::TierMetrics;
 use oda_faults::{FaultPoint, FaultSite};
 use oda_obs::{LineageNode, Registry, TraceEventKind, Tracer};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Medallion refinement class of an artifact (§V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataClass {
     /// Raw long-format observations.
     Bronze,
@@ -40,7 +39,7 @@ impl DataClass {
 }
 
 /// Storage tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Tier {
     /// Streaming broker (days).
     Stream,
@@ -68,7 +67,7 @@ impl Tier {
 }
 
 /// What happened to an artifact during [`TierManager::advance`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LifecycleAction {
     /// Dropped entirely (hot tiers expire; the durable copy lives
     /// elsewhere).
@@ -118,7 +117,7 @@ pub fn retention_ms(tier: Tier, class: DataClass) -> Option<i64> {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ArtifactRecord {
     class: DataClass,
     tier: Tier,

@@ -5,10 +5,8 @@
 //! partition by age and/or bytes; enforcement drops whole sealed
 //! segments from the front of the log.
 
-use serde::{Deserialize, Serialize};
-
 /// Age/size bounds on one partition's log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetentionPolicy {
     /// Maximum record age in milliseconds (`None` = unbounded).
     pub max_age_ms: Option<i64>,

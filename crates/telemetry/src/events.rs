@@ -115,7 +115,7 @@ pub struct Event {
 
 /// A scripted security incident: a burst of failed authentications
 /// followed by a success — the pattern Copacetic must flag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Incident {
     /// When the burst begins (ms).
     pub start_ms: i64,
@@ -327,5 +327,26 @@ mod tests {
         let mut g = EventGenerator::new(5_000, 500, 9);
         let evs = g.tick(3_600_000, 3_600_000);
         assert!(evs.windows(2).all(|w| w[0].ts_ms <= w[1].ts_ms));
+    }
+
+    /// The broker's event record, byte for byte: `publish_batch` writes
+    /// exactly this JSON, and a format change must change this string.
+    #[test]
+    fn event_record_bytes_are_pinned() {
+        let e = Event {
+            ts_ms: 1_700_000_000_123,
+            kind: EventKind::AuthFail,
+            severity: Severity::Warning,
+            node: None,
+            user: Some(42),
+            message: "sshd: auth failure for \"u42\"".to_string(),
+        };
+        let json = serde_json::to_string(&e).unwrap();
+        assert_eq!(
+            json,
+            r#"{"ts_ms":1700000000123,"kind":"AuthFail","severity":"Warning","node":null,"user":42,"message":"sshd: auth failure for \"u42\""}"#
+        );
+        let back: Event = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, e);
     }
 }

@@ -11,14 +11,14 @@ use crate::system::SystemModel;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rand_distr::{Distribution, Exp, LogNormal};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Allocation programs jobs are charged to (RATS-report dimension).
 pub const PROGRAMS: [&str; 8] = ["INCITE", "ALCC", "DD", "ECP", "CSC", "BIO", "FUS", "MAT"];
 
 /// Application archetype: determines the job's utilization shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum ApplicationArchetype {
     /// Dense linear algebra burn-in: ramp, long sustained near-peak, taper.
     Hpl,
@@ -163,7 +163,7 @@ impl ApplicationArchetype {
 }
 
 /// A scheduled job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Job {
     /// Facility-unique job id.
     pub id: u64,
@@ -200,7 +200,7 @@ impl Job {
 }
 
 /// Scheduler lifecycle events, emitted as the resource-manager stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum JobEvent {
     /// A job began execution.
     Start(Job),
@@ -214,7 +214,7 @@ pub enum JobEvent {
 }
 
 /// Workload-generation knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadConfig {
     /// Mean seconds between job arrivals.
     pub mean_interarrival_s: f64,
@@ -793,5 +793,36 @@ mod tests {
         let s = run_for(SystemModel::tiny(), 9, 6);
         let u = s.utilization();
         assert!((0.0..=1.0).contains(&u));
+    }
+
+    /// The broker's job-event records, byte for byte: `publish_batch`
+    /// writes exactly this JSON, and a format change must change these
+    /// strings.
+    #[test]
+    fn job_event_record_bytes_are_pinned() {
+        let job = Job {
+            id: 7,
+            user: 3,
+            project: "PRJ042".to_string(),
+            program: 2,
+            archetype: ApplicationArchetype::ClimateSim,
+            nodes: vec![0, 1, 5],
+            submit_ms: 0,
+            start_ms: 60_000,
+            end_ms: 3_660_000,
+            phase: 0.25,
+        };
+        assert_eq!(
+            serde_json::to_string(&JobEvent::Start(job)).unwrap(),
+            r#"{"Start":{"id":7,"user":3,"project":"PRJ042","program":2,"archetype":"ClimateSim","nodes":[0,1,5],"submit_ms":0,"start_ms":60000,"end_ms":3660000,"phase":0.25}}"#
+        );
+        let end = JobEvent::End {
+            job_id: 7,
+            end_ms: 3_600_000,
+        };
+        assert_eq!(
+            serde_json::to_string(&end).unwrap(),
+            r#"{"End":{"job_id":7,"end_ms":3600000}}"#
+        );
     }
 }

@@ -12,10 +12,9 @@ use crate::jobs::WorkloadConfig;
 use crate::record::OBS_RAW_BYTES;
 use crate::sensors::{DataSource, SensorCatalog};
 use crate::system::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// Daily data volume of one source on one system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SourceVolume {
     /// System name.
     pub system: String,
@@ -38,7 +37,7 @@ impl SourceVolume {
 ///
 /// Counts are sized to the facility the paper describes; they are the
 /// calibration knobs that land the totals in the reported band.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuxSources {
     /// Interconnect fabric switches.
     pub switches: u64,
@@ -133,7 +132,7 @@ pub fn volume_by_source(system: &SystemModel) -> Vec<SourceVolume> {
 
 /// In-band collection overhead report (§IV-A's trade-off between
 /// "minimizing system overhead and ensuring the quality of signals").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadReport {
     /// In-band samples taken per node per second.
     pub inband_samples_per_node_s: f64,

@@ -13,8 +13,6 @@
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
-use serde::{Deserialize, Serialize};
-
 /// A device within a node (or the node/system itself) that a sensor is
 /// attached to.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// [`Observation`] small enough for multi-million-row batches; the
 /// cabinet is derivable from the node index via
 /// [`crate::system::SystemModel::cabinet_of`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Device {
     /// The node itself (aggregate sensors such as total node power).
     Node,
@@ -72,7 +70,7 @@ impl Device {
 }
 
 /// Physical location of a sensor: global node index plus device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Component {
     /// Global node index within the system (0-based).
     pub node: u32,
@@ -103,7 +101,7 @@ impl Component {
 /// The paper (§VIII-A) calls out that ODA data is "streamed, skewed, and
 /// lossy"; dropouts surface as [`Quality::Missing`] rows (value = NaN)
 /// and out-of-range excursions as [`Quality::Suspect`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quality {
     /// Reading is believed valid.
     Good,
@@ -133,7 +131,7 @@ impl Quality {
 }
 
 /// One long-format sensor observation (a Bronze row).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Observation {
     /// Milliseconds since the (simulated) epoch.
     pub ts_ms: i64,

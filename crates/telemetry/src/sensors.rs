@@ -8,10 +8,9 @@
 
 use crate::error::TelemetryError;
 use crate::system::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// Physical quantity a sensor measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorKind {
     /// Power in watts.
     Power,
@@ -34,7 +33,7 @@ pub enum SensorKind {
 }
 
 /// Which element(s) of the topology a sensor is replicated over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Attachment {
     /// One instance per node.
     PerNode,
@@ -49,7 +48,7 @@ pub enum Attachment {
 }
 
 /// Data-source family, mirroring Fig. 3's Y-axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataSource {
     /// Compute-node hardware performance counters.
     PerfCounters,
@@ -106,7 +105,7 @@ impl DataSource {
 }
 
 /// One logical sensor in the catalog.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSpec {
     /// Stable identifier; index into the catalog.
     pub id: u16,
@@ -149,7 +148,7 @@ impl SensorSpec {
 }
 
 /// The full sensor catalog of one system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensorCatalog {
     specs: Vec<SensorSpec>,
 }

@@ -4,10 +4,8 @@
 //! Fig. 3: **Mountain** (Summit-like) and **Compass** (Frontier-like).
 //! A small `tiny` model keeps tests fast.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one supercomputer generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     /// Human-readable system name ("mountain", "compass", ...).
     pub name: String,

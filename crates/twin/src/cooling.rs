@@ -17,10 +17,8 @@
 //! the paper's stated reason for physics models is extrapolation to
 //! states never seen in telemetry (e.g. what-if set-point studies).
 
-use serde::{Deserialize, Serialize};
-
 /// Plant parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoolingParams {
     /// Secondary (node-side) loop thermal capacitance (J/K).
     pub c_secondary_j_per_k: f64,
@@ -63,7 +61,7 @@ impl CoolingParams {
 }
 
 /// Instantaneous plant state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoolingState {
     /// Secondary loop return temperature (C) — water leaving the racks.
     pub t_secondary_return_c: f64,

@@ -10,10 +10,9 @@
 use oda_telemetry::jobs::Job;
 use oda_telemetry::power::PowerModel;
 use oda_telemetry::system::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// Electrical conversion-chain parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ElectricalParams {
     /// Rectifier peak efficiency (at optimum load fraction).
     pub rectifier_peak_eff: f64,
@@ -45,7 +44,7 @@ impl ElectricalParams {
 }
 
 /// One time step's power decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Time (ms).
     pub ts_ms: i64,

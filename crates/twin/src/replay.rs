@@ -13,10 +13,9 @@ use crate::power::PowerSim;
 use crate::validate::{correlation, mape, rmse};
 use oda_telemetry::jobs::Job;
 use oda_telemetry::system::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a replay validation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Samples compared.
     pub samples: usize,

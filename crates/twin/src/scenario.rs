@@ -5,10 +5,9 @@ use crate::cooling::{CoolingParams, CoolingPlant, CoolingState};
 use crate::power::{PowerSample, PowerSim};
 use oda_telemetry::jobs::{ApplicationArchetype, Job};
 use oda_telemetry::system::SystemModel;
-use serde::{Deserialize, Serialize};
 
 /// A what-if configuration delta applied to the twin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario name.
     pub name: String,
@@ -36,7 +35,7 @@ impl Scenario {
 }
 
 /// Result of running one scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
     /// The scenario that produced this outcome.
     pub scenario: Scenario,
