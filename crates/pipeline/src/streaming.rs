@@ -3,8 +3,9 @@
 //! A [`StreamingQuery`] polls a broker consumer, decodes records into a
 //! frame, applies a stateful transform, writes the result to a [`Sink`]
 //! tagged with its [`EpochMeta`], and then atomically commits a
-//! checkpoint (epoch, offsets, state). On recovery the query restores
-//! the latest checkpoint; a batch that was sunk but not checkpointed is
+//! checkpoint (epoch, offsets, and the state as a base or as a delta
+//! onto the previous checkpoint). On recovery the query restores the
+//! latest checkpoint through its chain; a batch that was sunk but not checkpointed is
 //! replayed with the *same epoch*, so an idempotent sink deduplicates —
 //! exactly-once end-to-end.
 //!
@@ -123,7 +124,8 @@ pub type PartitionMap = Box<dyn Fn(Frame) -> Result<Frame, PipelineError> + Send
 /// `build` validates the configuration ([`PipelineError::InvalidQuery`]
 /// on a missing stage or zero budget) and performs checkpoint recovery:
 /// if the store holds a checkpoint, the consumer is sought to its
-/// offsets, state is restored, and the query resumes at the next epoch.
+/// offsets, state is restored from the newest base and the deltas after
+/// it, and the query resumes at the next epoch.
 #[derive(Default)]
 pub struct StreamingQueryBuilder {
     source: Option<Consumer>,
@@ -238,12 +240,14 @@ impl StreamingQueryBuilder {
                 "workers must be at least 1".into(),
             ));
         }
-        let (state, epoch) = match checkpoints.latest() {
+        let chain = checkpoints.chain();
+        let (state, epoch) = match chain.last() {
             Some(cp) => {
                 for (&p, &off) in &cp.offsets {
                     consumer.seek(p, off)?;
                 }
-                let state = StateStore::restore(&cp.state)
+                let links = chain.iter().map(|cp| (cp.epoch, cp.state.as_slice()));
+                let state = StateStore::restore_chain(links)
                     .ok_or_else(|| PipelineError::Decode("corrupt state snapshot".into()))?;
                 (state, cp.epoch + 1)
             }
@@ -398,8 +402,9 @@ impl StreamingQuery {
         self.checkpoints.try_commit(Checkpoint {
             epoch: self.epoch,
             offsets: self.consumer.positions(),
-            state: self.state.snapshot(),
+            state: self.state.checkpoint(self.checkpoints.wants_base()),
         })?;
+        self.state.committed(self.epoch);
         self.consumer.commit();
         meta.timings.checkpoint_ns = sw.elapsed_ns();
         self.epoch += 1;
@@ -680,6 +685,65 @@ mod tests {
                 .unwrap_err();
             assert_eq!(err, PipelineError::Decode("corrupt state snapshot".into()));
         }
+    }
+
+    #[test]
+    fn recovery_replays_the_base_and_its_deltas() {
+        let b = broker_with(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let cps = CheckpointStore::new();
+        let mut q = query(&b, &cps, 2);
+        let mut sink = MemorySink::new();
+        q.run_once(&mut sink).unwrap();
+        q.run_once(&mut sink).unwrap();
+        let chain = cps.chain();
+        assert_eq!(chain.len(), 2, "a base and one delta");
+        assert!(
+            !crate::state::is_delta(&chain[0].state) && crate::state::is_delta(&chain[1].state)
+        );
+        let mut q2 = query(&b, &cps, 2);
+        assert_eq!((q2.epoch(), q2.state()), (2, q.state()));
+        let mut sink2 = MemorySink::new();
+        q2.run_to_completion(&mut sink2).unwrap();
+        let total = sink2
+            .frames()
+            .last()
+            .unwrap()
+            .f64s("running_total")
+            .unwrap()[0];
+        assert_eq!(total, 21.0);
+    }
+
+    /// Loses the checkpoint commit of one epoch, once.
+    #[derive(Debug)]
+    struct LoseCommitOf(u64, std::sync::atomic::AtomicBool);
+
+    impl FaultPoint for LoseCommitOf {
+        fn check(&self, site: FaultSite, epoch: u64) -> Option<FaultKind> {
+            use std::sync::atomic::Ordering::SeqCst;
+            (site == FaultSite::CheckpointCommit && epoch == self.0 && !self.1.swap(true, SeqCst))
+                .then_some(FaultKind::CheckpointLost)
+        }
+    }
+
+    #[test]
+    fn a_lost_commit_between_deltas_recovers_exactly() {
+        let b = broker_with(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let cps = CheckpointStore::new();
+        cps.arm_faults(Arc::new(LoseCommitOf(2, false.into())));
+        let mut q = query(&b, &cps, 2);
+        let mut sink = MemorySink::new();
+        q.run_once(&mut sink).unwrap();
+        q.run_once(&mut sink).unwrap();
+        let err = q.run_once(&mut sink).unwrap_err();
+        assert!(err.to_string().contains("checkpoint lost"), "{err}");
+        // The same query carries on: epoch 2 again, over the next two
+        // records, and its delta must cover the lost epoch's folds too.
+        q.run_once(&mut sink).unwrap();
+        assert_eq!((cps.len(), q.epoch()), (3, 3));
+        let q2 = query(&b, &cps, 2);
+        assert_eq!(q2.state(), q.state());
+        let total = sink.frames().last().unwrap().f64s("running_total").unwrap()[0];
+        assert_eq!(total, 36.0, "every record folded once");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   control byte.
 
 use crate::error::StorageError;
+use std::cell::RefCell;
 
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 4;
@@ -68,82 +69,133 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+fn hash(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> 17) as usize & (HASH_SIZE - 1)
 }
 
+/// The four bytes of `input` at `at`, as one little-endian load.
+fn load4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// How many leading bytes `a` and `b` share, up to `b.len()`
+/// (`a` is at least as long), compared eight bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let word = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().expect("8 bytes"));
+    let mut n = 0;
+    while n + 8 <= b.len() {
+        let diff = word(a, n) ^ word(b, n);
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    while n < b.len() && a[n] == b[n] {
+        n += 1;
+    }
+    n
+}
+
+/// One thread's match table, kept between calls so a call does not
+/// zero `HASH_SIZE` entries first.
+struct MatchTable {
+    /// `head[h]` = `base` + 1 + the most recent position with hash `h`.
+    head: Vec<u32>,
+    /// Every entry at or below it was written by an earlier call and
+    /// reads as empty.
+    base: u32,
+}
+
+thread_local! {
+    static TABLE: RefCell<MatchTable> = const {
+        RefCell::new(MatchTable { head: Vec::new(), base: 0 })
+    };
+}
+
 /// Compress `input`; always decodable by [`decompress`].
+///
+/// A greedy matcher over a hash of each position's next four bytes. The
+/// bytes it writes are a pure function of `input`: the per-thread table
+/// it reuses only saves zeroing, since what earlier calls left in it
+/// reads as empty.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     if input.len() < MIN_MATCH * 2 {
-        let mut out = Vec::with_capacity(input.len() + 1);
-        out.push(0x00);
-        out.extend_from_slice(input);
-        return out;
+        return stored_raw(input);
     }
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     out.push(0x01);
     put_varint(&mut out, input.len() as u64);
-
-    // head[h] = most recent position with hash h (+1; 0 = empty).
-    let mut head = vec![0u32; HASH_SIZE];
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
-        let mut start = from;
-        while start < to {
-            let run = (to - start).min(128);
-            out.push((run - 1) as u8); // 0x00..=0x7f
-            out.extend_from_slice(&input[start..start + run]);
-            start += run;
+    TABLE.with_borrow_mut(|table| {
+        if table.head.is_empty() {
+            table.head = vec![0; HASH_SIZE];
         }
-    };
-
-    while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let candidate = head[h] as usize;
-        head[h] = (i + 1) as u32;
-        let mut matched = 0usize;
-        if candidate > 0 {
-            let cand = candidate - 1;
-            if i - cand <= WINDOW {
-                let max = input.len() - i;
-                while matched < max && input[cand + matched] == input[i + matched] {
-                    matched += 1;
+        // Positions are stored as `base + 1 + i`: start afresh when this
+        // input's would not fit in a `u32`. (An input of 4 GiB or more
+        // wraps, as it always did, and leaves the next call a fresh table.)
+        let len = u32::try_from(input.len()).unwrap_or(u32::MAX);
+        let base = match table.base.checked_add(len) {
+            Some(end) => std::mem::replace(&mut table.base, end),
+            None => {
+                table.head.fill(0);
+                table.base = len;
+                0
+            }
+        };
+        let head = &mut table.head;
+        let slot = |i: usize| base.wrapping_add(i as u32).wrapping_add(1);
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+        while i + MIN_MATCH <= input.len() {
+            let word = load4(input, i);
+            let h = hash(word);
+            let entry = std::mem::replace(&mut head[h], slot(i));
+            let cand = (entry > base)
+                .then(|| (entry - base - 1) as usize)
+                .filter(|&cand| i - cand <= WINDOW && load4(input, cand) == word);
+            if let Some(cand) = cand {
+                let matched =
+                    MIN_MATCH + common_prefix(&input[cand + MIN_MATCH..], &input[i + MIN_MATCH..]);
+                flush_literals(&mut out, &input[literal_start..i]);
+                out.push(0x80);
+                put_varint(&mut out, matched as u64);
+                put_varint(&mut out, (i - cand) as u64);
+                // Index a few positions inside the match so later matches
+                // can reference them (cheap approximation of full indexing).
+                let step = (matched / 8).max(1);
+                let mut j = i + 1;
+                while j + MIN_MATCH <= input.len() && j < i + matched {
+                    head[hash(load4(input, j))] = slot(j);
+                    j += step;
                 }
+                i += matched;
+                literal_start = i;
+            } else {
+                i += 1;
             }
         }
-        if matched >= MIN_MATCH {
-            let cand = candidate - 1;
-            flush_literals(&mut out, literal_start, i, input);
-            out.push(0x80);
-            put_varint(&mut out, matched as u64);
-            put_varint(&mut out, (i - cand) as u64);
-            // Index a few positions inside the match so later matches can
-            // reference them (cheap approximation of full indexing).
-            let step = (matched / 8).max(1);
-            let mut j = i + 1;
-            while j + MIN_MATCH <= input.len() && j < i + matched {
-                head[hash4(&input[j..])] = (j + 1) as u32;
-                j += step;
-            }
-            i += matched;
-            literal_start = i;
-        } else {
-            i += 1;
-        }
-    }
-    flush_literals(&mut out, literal_start, input.len(), input);
-
+        flush_literals(&mut out, &input[literal_start..]);
+    });
     if out.len() > input.len() {
         // Incompressible; store raw.
-        let mut raw = Vec::with_capacity(input.len() + 1);
-        raw.push(0x00);
-        raw.extend_from_slice(input);
-        return raw;
+        return stored_raw(input);
     }
     out
+}
+
+/// `input` behind the raw tag.
+fn stored_raw(input: &[u8]) -> Vec<u8> {
+    let mut raw = Vec::with_capacity(input.len() + 1);
+    raw.push(0x00);
+    raw.extend_from_slice(input);
+    raw
+}
+
+/// `literals` as runs of at most 128 bytes, each behind its control byte.
+fn flush_literals(out: &mut Vec<u8>, literals: &[u8]) {
+    for run in literals.chunks(128) {
+        out.push((run.len() - 1) as u8); // 0x00..=0x7f
+        out.extend_from_slice(run);
+    }
 }
 
 /// Decompress a buffer produced by [`compress`].
@@ -222,6 +274,62 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, StorageError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn hash4(data: &[u8]) -> usize {
+        hash(u32::from_le_bytes([data[0], data[1], data[2], data[3]]))
+    }
+
+    /// The matcher `compress` replaced, kept as its oracle: a fresh,
+    /// zeroed table per call and a byte-at-a-time match loop.
+    fn reference_compress(input: &[u8]) -> Vec<u8> {
+        if input.len() < MIN_MATCH * 2 {
+            return stored_raw(input);
+        }
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        out.push(0x01);
+        put_varint(&mut out, input.len() as u64);
+        // head[h] = most recent position with hash h (+1; 0 = empty).
+        let mut head = vec![0u32; HASH_SIZE];
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+        while i + MIN_MATCH <= input.len() {
+            let h = hash4(&input[i..]);
+            let candidate = head[h] as usize;
+            head[h] = (i + 1) as u32;
+            let mut matched = 0usize;
+            if candidate > 0 {
+                let cand = candidate - 1;
+                if i - cand <= WINDOW {
+                    let max = input.len() - i;
+                    while matched < max && input[cand + matched] == input[i + matched] {
+                        matched += 1;
+                    }
+                }
+            }
+            if matched >= MIN_MATCH {
+                let cand = candidate - 1;
+                flush_literals(&mut out, &input[literal_start..i]);
+                out.push(0x80);
+                put_varint(&mut out, matched as u64);
+                put_varint(&mut out, (i - cand) as u64);
+                let step = (matched / 8).max(1);
+                let mut j = i + 1;
+                while j + MIN_MATCH <= input.len() && j < i + matched {
+                    head[hash4(&input[j..])] = (j + 1) as u32;
+                    j += step;
+                }
+                i += matched;
+                literal_start = i;
+            } else {
+                i += 1;
+            }
+        }
+        flush_literals(&mut out, &input[literal_start..]);
+        if out.len() > input.len() {
+            return stored_raw(input);
+        }
+        out
+    }
 
     #[test]
     fn varint_roundtrip_edges() {
@@ -359,6 +467,18 @@ mod tests {
         assert_eq!(decompress(&fits).unwrap(), b"abcddddd");
     }
 
+    #[test]
+    fn a_table_near_the_end_of_its_positions_starts_afresh() {
+        let input: Vec<u8> = b"abcdabcdXabcdabcd".repeat(50);
+        let want = reference_compress(&input);
+        for base in [u32::MAX - 10, u32::MAX - input.len() as u32, u32::MAX] {
+            compress(b"warm the table up: warm the table up");
+            TABLE.with_borrow_mut(|t| t.base = base);
+            assert_eq!(compress(&input), want, "base {base}");
+            assert_eq!(compress(&input), want, "base {base}, next call");
+        }
+    }
+
     proptest! {
         #[test]
         fn roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..5_000)) {
@@ -371,6 +491,37 @@ mod tests {
             let data: Vec<u8> = word.iter().cycle().take(n * word.len()).copied().collect();
             let c = compress(&data);
             prop_assert_eq!(decompress(&c).unwrap(), data);
+        }
+
+        /// Differential: the same bytes as the matcher it replaced, on
+        /// arbitrary, repetitive and f64-page inputs, each compressed
+        /// twice in a row so the second call runs on a reused table.
+        #[test]
+        fn matcher_writes_the_reference_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..3_000),
+            n in 1usize..300,
+            word in proptest::collection::vec(any::<u8>(), 1..40),
+            start in -1.0e6f64..1.0e6,
+            steps in proptest::collection::vec((0u8..3, -2.0f64..2.0), 1..600),
+        ) {
+            let repeated: Vec<u8> = word.iter().cycle().take(n * word.len()).copied().collect();
+            // A page of a slowly moving float series that often repeats
+            // a value, as `Plain` stores it.
+            let page: Vec<u8> = steps
+                .iter()
+                .scan(start, |v, &(hold, d)| {
+                    if hold != 0 {
+                        *v += d;
+                    }
+                    Some(*v)
+                })
+                .flat_map(f64::to_le_bytes)
+                .collect();
+            for input in [&data, &repeated, &page] {
+                for _ in 0..2 {
+                    prop_assert_eq!(compress(input), reference_compress(input));
+                }
+            }
         }
 
         #[test]
