@@ -163,13 +163,16 @@ impl Registry {
             .unwrap_or(0)
     }
 
-    /// A point-in-time copy of every series in the registry.
+    /// A point-in-time copy of every counter and gauge series in the
+    /// registry.
     ///
     /// The snapshot is an owned, immutable view keyed by
-    /// `(family name, sorted label pairs)` — the input to the health
-    /// engine's delta/rate math ([`crate::health`]). Taking it is
-    /// read-only: short read-lock probes plus relaxed atomic loads, so
-    /// snapshotting never perturbs the data plane.
+    /// `(family name, sorted label pairs)` — the input each health tick
+    /// reduces to the counter sums and gauge levels it judges
+    /// ([`crate::health`]). Histograms are not copied: no health input
+    /// reads them. Taking it is read-only: short read-lock probes plus
+    /// relaxed atomic loads, so snapshotting never perturbs the data
+    /// plane.
     pub fn snapshot(&self) -> crate::health::MetricsSnapshot {
         fn copy<T, V>(
             map: &Families<T>,
@@ -186,7 +189,6 @@ impl Registry {
         crate::health::MetricsSnapshot {
             counters: copy(&self.inner.counters, |c| c.get()),
             gauges: copy(&self.inner.gauges, |g| g.get()),
-            histograms: copy(&self.inner.histograms, |h| h.snapshot()),
         }
     }
 

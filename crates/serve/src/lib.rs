@@ -12,7 +12,7 @@
 //! | `/healthz`             | SLO health report (JSON, 503 when unhealthy) |
 //! | `/trace/spans`         | trace journal (JSONL)                 |
 //! | `/trace/critical-path` | heaviest span chain (`?query=&epoch=`)|
-//! | `/lineage/digest/<d>`  | ancestor/descendant walks of a digest |
+//! | `/lineage/digest/<hex>` | ancestor/descendant walks of a digest |
 //! | `/alerts`              | online-detector alerts (JSONL)        |
 //! | `/bench`               | benchmark contract (JSON)             |
 //!

@@ -55,7 +55,7 @@ impl Endpoints {
 
     /// Serve `GET /metrics` from `registry`. When the registry carries
     /// a tracer, also serve `GET /trace/*` from its journal and
-    /// `GET /lineage/digest/<d>` from its lineage graph.
+    /// `GET /lineage/digest/<hex>` from its lineage graph.
     pub fn with_registry(mut self, registry: &Registry) -> Self {
         self.registry = Some(registry.clone());
         self
@@ -160,19 +160,19 @@ impl Endpoints {
         Response::ok(CONTENT_TYPE_JSONL, export_jsonl(&path))
     }
 
-    /// `/lineage/digest/<d>` — the node carrying digest `d` (hex, with
-    /// or without `0x`, or decimal) plus its ancestor and descendant
+    /// `/lineage/digest/<hex>` — the node carrying the digest (a hex
+    /// `u64`, with or without `0x`) plus its ancestor and descendant
     /// closures.
     fn lineage_digest(&self, raw: &str) -> Response {
         let Some(tracer) = self.tracer() else {
             return Response::not_found("no tracer attached");
         };
-        let stripped = raw.strip_prefix("0x").unwrap_or(raw);
-        let Some(digest) = u64::from_str_radix(stripped, 16)
-            .ok()
-            .or_else(|| raw.parse::<u64>().ok())
+        let hex = raw.strip_prefix("0x").unwrap_or(raw);
+        let Some(digest) = Some(hex)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
         else {
-            return Response::error(400, "digest must be hex or decimal u64");
+            return Response::error(400, "digest must be a hex u64, with or without 0x");
         };
         let query = tracer.lineage().query();
         let Some(id) = query.find_digest(digest) else {
@@ -214,7 +214,7 @@ impl Endpoints {
                 self.tracer().is_some(),
             ),
             (
-                "/lineage/digest/<d>   ancestors/descendants of a digest",
+                "/lineage/digest/<hex> ancestors/descendants of a digest",
                 self.tracer().is_some(),
             ),
             (
@@ -364,7 +364,12 @@ mod tests {
             assert_eq!(e.route(&get("/lineage/digest/0xabcd")).body, resp.body);
         }
         assert_eq!(e.route(&get("/lineage/digest/ffff")).status, 404);
-        assert_eq!(e.route(&get("/lineage/digest/zzz")).status, 400);
+        // Digests are hex only: one that parses only as decimal is a bad
+        // request, not a miss.
+        for bad in ["zzz", "18446744073709551615", "+ff", "0x", "", "-1"] {
+            let path = format!("/lineage/digest/{bad}");
+            assert_eq!(e.route(&get(&path)).status, 400, "{path}");
+        }
     }
 
     #[test]
