@@ -34,8 +34,6 @@ pub use error::PipelineError;
 pub use executor::{EpochMeta, EpochTimings};
 pub use expr::Expr;
 pub use frame::{Frame, StrColumn};
-pub use logical::{
-    ExecContext, ExecStats, LogicalPlan, Query, ScanPredicate, ScanSource, SortKey, StageTiming,
-};
+pub use logical::{ExecContext, ExecStats, LogicalPlan, Query, StageTiming};
 pub use metrics::PipelineMetrics;
 pub use streaming::{MemorySink, Sink, StreamingQuery, StreamingQueryBuilder};
