@@ -237,11 +237,15 @@ impl Consumer {
         }
     }
 
-    /// Durably commit the current position of every owned partition.
+    /// Durably commit the current position of every owned partition,
+    /// and publish the lag gauges: a streaming query advances through
+    /// [`Consumer::fetch_partition`] and [`Consumer::seek`], never
+    /// [`Consumer::poll`], so its commit is where lag is set.
     pub fn commit(&self) {
         for (&p, &pos) in &self.position {
             self.broker.commit(&self.group, &self.topic, p, pos);
         }
+        self.record_lag();
     }
 
     /// Reset local positions to the last committed offsets (crash rewind).

@@ -156,6 +156,39 @@ proptest! {
     }
 }
 
+/// A query-driven consumer publishes its lag. The streaming query
+/// reads through `fetch_partition` and `seek`, never `poll`, so the
+/// gauges are set on its commit: after each committed epoch the summed
+/// lag is the records still unread, one series per partition.
+#[test]
+fn supervised_run_publishes_consumer_lag_per_partition() {
+    if !oda::obs::enabled() {
+        return;
+    }
+    let broker = Broker::new();
+    common::seed_broker(&broker, 20);
+    let reg = Registry::new();
+    let lag_of = |p: &str| {
+        reg.gauge_value(
+            "stream_consumer_lag",
+            &[("group", "lag"), ("topic", common::TOPIC), ("partition", p)],
+        )
+    };
+    let per_epoch = std::cell::RefCell::new(Vec::new());
+    let tick = || per_epoch.borrow_mut().push(lag_of("0") + lag_of("1"));
+    let mut sink = MemorySink::new();
+    common::supervise(&broker, None, 2, Some(&reg), "lag", &mut sink, Some(&tick));
+    // 20 records, 3 per partition per epoch, all keyed to one partition.
+    assert_eq!(per_epoch.into_inner(), [17, 14, 11, 8, 5, 2, 0]);
+    let series = reg
+        .snapshot()
+        .gauges
+        .into_keys()
+        .filter(|(name, _)| name == "stream_consumer_lag")
+        .count();
+    assert_eq!(series, 2, "one lag series per partition");
+}
+
 fn float_decoder() -> Decoder {
     Box::new(|records: &[oda::stream::Record]| {
         let vals: Vec<f64> = records
