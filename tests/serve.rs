@@ -23,28 +23,65 @@ use oda::stream::Broker;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use common::TOPIC;
 
 const BATCHES: usize = 80;
 const SCRAPERS: usize = 8;
+/// How long one epoch tick waits for a scrape to land.
+const SCRAPE_WAIT: Duration = Duration::from_millis(500);
+
+/// Completed scrapes, counted by the scrapers and awaited by the
+/// pipeline's epoch tick.
+#[derive(Default)]
+struct Scrapes {
+    done: Mutex<usize>,
+    landed: Condvar,
+}
+
+impl Scrapes {
+    fn complete(&self) {
+        *self.done.lock().unwrap() += 1;
+        self.landed.notify_all();
+    }
+
+    /// Wait, at most [`SCRAPE_WAIT`], until more than `seen` scrapes
+    /// have completed; returns the count then.
+    fn wait_past(&self, seen: usize) -> usize {
+        let done = self.done.lock().unwrap();
+        let (done, _) = self
+            .landed
+            .wait_timeout_while(done, SCRAPE_WAIT, |n| *n <= seen)
+            .unwrap();
+        *done
+    }
+}
 
 /// The shared supervisor loop over a freshly seeded broker, optionally
 /// observed through `registry` and optionally ticking a health engine
 /// over it once per committed epoch (the serve-side data-plane idiom
-/// this suite is proving safe).
+/// this suite is proving safe). With `scrapes`, each tick also waits
+/// for a scrape to complete since the tick before it, so scrapes
+/// overlap the run instead of racing a run that ends before the
+/// scrapers connect.
 fn run_pipeline(
     plan: Option<Arc<FaultPlan>>,
     workers: usize,
     registry: Option<&Registry>,
     health: Option<&Arc<Mutex<HealthEngine>>>,
+    scrapes: Option<&Scrapes>,
 ) -> MemorySink {
     let broker = Broker::new();
     common::seed_broker(&broker, BATCHES);
+    let seen = std::cell::Cell::new(0);
     let tick = || {
         if let (Some(engine), Some(reg)) = (health, registry) {
             engine.lock().unwrap().observe(reg);
+        }
+        if let Some(scrapes) = scrapes {
+            seen.set(scrapes.wait_past(seen.get()));
         }
     };
     let mut sink = MemorySink::new();
@@ -85,7 +122,7 @@ fn fetch(addr: SocketAddr, path: &str) -> Option<(u16, String, String)> {
 /// Gold reduction must stay byte-identical to the bare, unwatched run.
 #[test]
 fn concurrent_scrapes_do_not_perturb_gold() {
-    let baseline_sink = run_pipeline(None, 1, None, None);
+    let baseline_sink = run_pipeline(None, 1, None, None, None);
     let baseline_gold = frame_to_colfile(&common::gold_reduction(&baseline_sink)).unwrap();
 
     let seeds = common::chaos_seeds();
@@ -99,9 +136,11 @@ fn concurrent_scrapes_do_not_perturb_gold() {
         let addr = server.addr();
 
         let stop = Arc::new(AtomicBool::new(false));
+        let completed = Arc::new(Scrapes::default());
         let scrapers: Vec<_> = (0..SCRAPERS)
             .map(|i| {
                 let stop = Arc::clone(&stop);
+                let completed = Arc::clone(&completed);
                 std::thread::spawn(move || {
                     let mut problems: Vec<String> = Vec::new();
                     let mut scrapes = 0usize;
@@ -140,6 +179,7 @@ fn concurrent_scrapes_do_not_perturb_gold() {
                             None => {}
                         }
                         scrapes += 1;
+                        completed.complete();
                     }
                     (scrapes, problems)
                 })
@@ -147,7 +187,13 @@ fn concurrent_scrapes_do_not_perturb_gold() {
             .collect();
 
         let plan = Arc::new(FaultPlan::chaos(seed));
-        let sink = run_pipeline(Some(plan), 8, Some(&registry), Some(&engine));
+        let sink = run_pipeline(
+            Some(plan),
+            8,
+            Some(&registry),
+            Some(&engine),
+            Some(&completed),
+        );
 
         stop.store(true, Ordering::Relaxed);
         let mut total_scrapes = 0;
@@ -313,7 +359,7 @@ fn lineage_endpoint_serves_gold_ancestry() {
     }
     let tracer = Tracer::new();
     let registry = Registry::new().with_tracer(&tracer);
-    let sink = run_pipeline(None, 2, Some(&registry), None);
+    let sink = run_pipeline(None, 2, Some(&registry), None, None);
     let gold = common::gold_reduction(&sink);
     let gold_bytes = frame_to_colfile(&gold).unwrap();
     let digest = oda::obs::fnv1a(&gold_bytes);
