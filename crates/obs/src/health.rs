@@ -54,22 +54,15 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Sum of the counter series matched by `sel`.
     pub fn counter_sum(&self, sel: &Selector) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((name, labels), _)| sel.matches(name, labels))
-            .map(|(_, &v)| v)
+        sel.select(&self.counters)
+            .copied()
             .fold(0u64, u64::saturating_add)
     }
 
     /// Largest value across the gauge series matched by `sel`
     /// (zero when no series match).
     pub fn gauge_max(&self, sel: &Selector) -> i64 {
-        self.gauges
-            .iter()
-            .filter(|((name, labels), _)| sel.matches(name, labels))
-            .map(|(_, &v)| v)
-            .max()
-            .unwrap_or(0)
+        sel.select(&self.gauges).copied().max().unwrap_or(0)
     }
 }
 
@@ -100,12 +93,20 @@ impl Selector {
         }
     }
 
-    fn matches(&self, name: &str, labels: &[(String, String)]) -> bool {
-        name == self.family
-            && self
-                .label
-                .as_ref()
-                .is_none_or(|(k, v)| labels.iter().any(|(lk, lv)| lk == k && lv == v))
+    /// The values of the series in `series` this selects. The map is
+    /// sorted by `(family, labels)` and no label list sorts before the
+    /// empty one, so the family's series are one run starting at
+    /// `(family, [])`; only that run is read.
+    fn select<'a, V>(&'a self, series: &'a BTreeMap<SeriesKey, V>) -> impl Iterator<Item = &'a V> {
+        series
+            .range((self.family.clone(), Vec::new())..)
+            .take_while(|((name, _), _)| *name == self.family)
+            .filter(|((_, labels), _)| {
+                self.label
+                    .as_ref()
+                    .is_none_or(|(k, v)| labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            })
+            .map(|(_, v)| v)
     }
 }
 
@@ -807,6 +808,45 @@ mod tests {
         );
         assert_eq!(
             s.counter_sum(&Selector::labeled("acts_total", "action", "nope")),
+            0
+        );
+    }
+
+    /// A family whose name is a prefix of another's (or extends it)
+    /// reads only its own series, for counters and gauges alike.
+    #[test]
+    fn selectors_read_only_their_own_family() {
+        let mut s = MetricsSnapshot::default();
+        for (name, v) in [("lag", 1), ("lag_total", 10), ("la", 100), ("lag\0", 1_000)] {
+            s.counters.insert((name.into(), Vec::new()), v);
+            let labels = vec![("p".to_string(), "0".to_string())];
+            s.gauges.insert((name.into(), labels), v as i64);
+        }
+        assert_eq!(s.counter_sum(&Selector::family("lag")), 1);
+        assert_eq!(s.counter_sum(&Selector::family("la")), 100);
+        assert_eq!(s.counter_sum(&Selector::family("l")), 0);
+        assert_eq!(s.gauge_max(&Selector::family("lag")), 1);
+        assert_eq!(s.gauge_max(&Selector::family("lag_total")), 10);
+        assert_eq!(s.gauge_max(&Selector::family("lag_")), 0);
+    }
+
+    /// A labeled selector matches its label within its family only,
+    /// never the same label on a neighbouring family.
+    #[test]
+    fn labeled_selector_stays_inside_its_family() {
+        let mut s = MetricsSnapshot::default();
+        let op = |v: &str| vec![("op".to_string(), v.to_string())];
+        s.counters.insert(("a_total".into(), op("fetch")), 3);
+        s.counters.insert(("a_total".into(), op("produce")), 4);
+        s.counters.insert(("a_total_x".into(), op("produce")), 50);
+        s.counters.insert(("a_tota".into(), op("produce")), 600);
+        s.gauges.insert(("a_total".into(), op("produce")), -7);
+        s.gauges.insert(("a_total_x".into(), op("produce")), 80);
+        let produce = Selector::labeled("a_total", "op", "produce");
+        assert_eq!(s.counter_sum(&produce), 4);
+        assert_eq!(s.gauge_max(&produce), -7);
+        assert_eq!(
+            s.counter_sum(&Selector::labeled("a_tota", "op", "fetch")),
             0
         );
     }
