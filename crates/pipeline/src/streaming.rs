@@ -117,7 +117,7 @@ pub type PartitionMap = Box<dyn Fn(Frame) -> Result<Frame, PipelineError> + Send
 ///     .map_partitions(map)         // optional parallel stage
 ///     .max_records(5_000)          // default 10_000
 ///     .workers(4)                  // default 1
-///     .faults(plan)                // optional, stacks
+///     .faults(plan)                // optional, one plan
 ///     .build()?                    // validates + checkpoint recovery
 /// ```
 ///
@@ -135,7 +135,7 @@ pub struct StreamingQueryBuilder {
     checkpoints: Option<CheckpointStore>,
     max_records: Option<usize>,
     workers: Option<usize>,
-    faults: Vec<Arc<dyn FaultPoint>>,
+    faults: Option<Arc<dyn FaultPoint>>,
     metrics: Option<PipelineMetrics>,
     trace_name: Option<String>,
 }
@@ -191,11 +191,11 @@ impl StreamingQueryBuilder {
         self
     }
 
-    /// Arm a fault plan at the query's sink-write site. Multiple plans
-    /// stack; the first that fires wins. Crash-after-sink schedules
-    /// (see `FaultPlan::crash_after_sink`) arm here.
+    /// Arm a fault plan at the query's sink-write site; a later call
+    /// replaces an earlier one. Crash-after-sink schedules (see
+    /// `FaultPlan::crash_after_sink`) arm here.
     pub fn faults(mut self, faults: Arc<dyn FaultPoint>) -> Self {
-        self.faults.push(faults);
+        self.faults = Some(faults);
         self
     }
 
@@ -283,10 +283,10 @@ pub struct StreamingQuery {
     epoch: u64,
     max_records: usize,
     workers: usize,
-    /// Armed fault plans, each consulted at the sink-write site. Crashes
-    /// in the sink→checkpoint window come from here (simulating the
+    /// Armed fault plan, consulted at the sink-write site. Crashes in
+    /// the sink→checkpoint window come from here (simulating the
     /// exactly-once vulnerable window).
-    faults: Vec<Arc<dyn FaultPoint>>,
+    faults: Option<Arc<dyn FaultPoint>>,
     metrics: Option<PipelineMetrics>,
     trace_name: String,
     last_meta: Option<EpochMeta>,
@@ -309,7 +309,7 @@ impl StreamingQuery {
     }
 
     fn fault(&self, site: FaultSite, ctx: u64) -> Option<FaultKind> {
-        self.faults.iter().find_map(|f| f.check(site, ctx))
+        self.faults.as_ref()?.check(site, ctx)
     }
 
     /// Current epoch (next batch number).
