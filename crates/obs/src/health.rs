@@ -1013,6 +1013,115 @@ mod tests {
         assert!(history.len() > incremental.window_long + 1, "ring evicted");
     }
 
+    /// Tick `t` of a scripted stack: labeled series in every engine
+    /// family, per-partition lag, a mix of lifecycle actions, and bursts
+    /// that push objectives over budget.
+    fn drive_scripted_tick(reg: &Registry, t: u64) {
+        let c = |name: &str, labels: &[(&str, &str)], n: u64| reg.counter(name, "", labels).add(n);
+        let burst = |from: u64, to: u64| (from..to).contains(&t);
+        for p in ["0", "1", "2", "3"] {
+            let pn: u64 = p.parse().unwrap();
+            c(
+                "stream_produce_records_total",
+                &[("partition", p), ("topic", "t")],
+                100 + pn * 10,
+            );
+            c(
+                "stream_fetch_records_total",
+                &[("group", "g"), ("partition", p)],
+                90 + pn,
+            );
+            if burst(40, 43) {
+                c("stream_isr_shrinks_total", &[("partition", p)], pn % 2 * 2);
+            }
+            let lag = if pn == 2 && burst(50, 55) {
+                12_000
+            } else {
+                (t * 13 + pn * 37) % 700
+            };
+            reg.gauge(
+                "stream_consumer_lag",
+                "",
+                &[("group", "g"), ("partition", p)],
+            )
+            .set(lag as i64);
+        }
+        c(
+            "retry_exhausted_total",
+            &[("op", "produce")],
+            if burst(3, 9) { 80 } else { 0 },
+        );
+        c(
+            "retry_exhausted_total",
+            &[("op", "fetch")],
+            u64::from(t.is_multiple_of(7)),
+        );
+        c("pipeline_epochs_total", &[], 1);
+        c("pipeline_records_total", &[("stage", "silver")], 400);
+        c(
+            "pipeline_failed_epochs_total",
+            &[("stage", "gold")],
+            u64::from(t.is_multiple_of(9)),
+        );
+        for (action, every, n) in [
+            ("archived", 5, 9),
+            ("expired", 4, 3),
+            ("migrate-failed", 10, 1),
+        ] {
+            let n = if t.is_multiple_of(every) { n } else { 0 };
+            c("storage_lifecycle_actions_total", &[("action", action)], n);
+        }
+        c("ocean_put_objects_total", &[], 2);
+        c("lake_inserted_points_total", &[("table", "power")], 50);
+        c(
+            "lake_retention_dropped_points_total",
+            &[],
+            u64::from(t.is_multiple_of(11)) * 5,
+        );
+        for (tier, bytes) in [("hot", t * 1_000), ("ocean", t * 40_000)] {
+            reg.gauge("storage_tier_bytes", "", &[("tier", tier)])
+                .set(bytes as i64);
+        }
+        c("faults_injected_total", &[("kind", "drop")], (t * 7) % 60);
+        c("retry_attempts_retried_total", &[("op", "produce")], t % 3);
+        c(
+            "oda_alerts_fired_total",
+            &[("detector", "ewma")],
+            if burst(60, 63) { 9 } else { t % 4 },
+        );
+        c("query_plans_executed_total", &[], 3);
+        reg.gauge("lake_points", "", &[]).set((t * 50) as i64);
+    }
+
+    /// A real registry through a 70-tick scripted history, beside 1 000
+    /// series of a family no objective reads. Every tick's render folds
+    /// into one pinned hash, so any change in what a tick reads from the
+    /// registry moves it.
+    #[test]
+    fn scripted_registry_history_renders_pinned_bytes() {
+        let reg = Registry::new();
+        for i in 0..1_000u64 {
+            let series = i.to_string();
+            reg.counter("unrelated_requests_total", "", &[("series", &series)])
+                .add(i);
+        }
+        let mut eng = HealthEngine::with_defaults();
+        let mut rendered = String::new();
+        let mut worst = Verdict::Healthy;
+        for t in 1..=70 {
+            drive_scripted_tick(&reg, t);
+            let report = eng.observe(&reg);
+            worst = worst.max(report.overall);
+            rendered.push_str(&render_health_json(&report));
+        }
+        if crate::enabled() {
+            assert_eq!(worst, Verdict::Unhealthy, "the bursts must page");
+            assert_eq!(crate::fnv1a(rendered.as_bytes()), 0xf3a1_1c50_bf50_690b);
+        } else {
+            assert_eq!(worst, Verdict::Healthy);
+        }
+    }
+
     #[test]
     fn scrapes_do_not_advance_time() {
         let mut eng = HealthEngine::with_defaults();
