@@ -29,10 +29,12 @@
 //! instant events through one call, [`Tracer::service_event`].
 //!
 //! On top of the registry sits the operator-plane half: a
-//! deterministic SLO health engine ([`health`]) that diffs
-//! [`Registry::snapshot`]s over logical ticks, evaluates multi-window
-//! burn rates against declared [`SloObjective`]s, and renders
-//! byte-stable `Healthy/Degraded/Unhealthy` reports for `/healthz`.
+//! deterministic SLO health engine ([`health`]) that reads the counter
+//! sums and gauge levels its [`Selector`]s name straight from the
+//! registry ([`Registry::counter_sum`], [`Registry::gauge_max`]) once
+//! per logical tick, diffs those readings over multi-window burn rates
+//! against declared [`SloObjective`]s, and renders byte-stable
+//! `Healthy/Degraded/Unhealthy` reports for `/healthz`.
 //!
 //! # Determinism rules
 //!
@@ -74,8 +76,8 @@ pub use export::{
     SpanNode,
 };
 pub use health::{
-    default_objectives, render_health_json, HealthEngine, HealthReport, MetricsSnapshot,
-    ObjectiveReport, Selector, SloKind, SloObjective, Subsystem, SubsystemHealth, Verdict,
+    default_objectives, render_health_json, HealthEngine, HealthReport, ObjectiveReport, Selector,
+    SloKind, SloObjective, Subsystem, SubsystemHealth, Verdict,
 };
 pub use histogram::{exponential_bounds, Histogram, HistogramSnapshot};
 pub use lineage::{Lineage, LineageNode, LineageNodeId, LineageQuery};

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, RwLock};
 
+use crate::health::Selector;
 use crate::histogram::Histogram;
 use crate::metric::{Counter, Gauge};
 use crate::trace::Tracer;
@@ -88,6 +89,20 @@ fn get_or_create<T, F: FnOnce() -> T>(
         series: BTreeMap::new(),
     });
     Arc::clone(family.series.entry(set).or_insert_with(|| Arc::new(make())))
+}
+
+/// Fold `f` over the series of `sel`'s family that carry its label,
+/// in place under the family map's read lock.
+fn fold_selected<T, A>(map: &Families<T>, sel: &Selector, init: A, f: impl Fn(A, &T) -> A) -> A {
+    let guard = map.read().expect("obs registry poisoned");
+    let series = guard.get(&sel.family).into_iter().flat_map(|f| &f.series);
+    series
+        .filter(|(labels, _)| {
+            sel.label
+                .as_ref()
+                .is_none_or(|(k, v)| labels.iter().any(|(lk, lv)| lk == k && lv == v))
+        })
+        .fold(init, |acc, (_, m)| f(acc, m))
 }
 
 impl Registry {
@@ -163,16 +178,27 @@ impl Registry {
             .unwrap_or(0)
     }
 
+    /// Sum of the counter series `sel` matches (zero if none), read in
+    /// place: one family lookup, no copy, no allocation.
+    pub fn counter_sum(&self, sel: &Selector) -> u64 {
+        fold_selected(&self.inner.counters, sel, 0, |s, c| {
+            s.saturating_add(c.get())
+        })
+    }
+
+    /// Largest value across the gauge series `sel` matches (zero if
+    /// none), read in place like [`Self::counter_sum`].
+    pub fn gauge_max(&self, sel: &Selector) -> i64 {
+        fold_selected(&self.inner.gauges, sel, None, |m, g| m.max(Some(g.get()))).unwrap_or(0)
+    }
+
     /// A point-in-time copy of every counter and gauge series in the
-    /// registry.
+    /// registry, keyed by `(family name, sorted label pairs)`.
     ///
-    /// The snapshot is an owned, immutable view keyed by
-    /// `(family name, sorted label pairs)` — the input each health tick
-    /// reduces to the counter sums and gauge levels it judges
-    /// ([`crate::health`]). Histograms are not copied: no health input
-    /// reads them. Taking it is read-only: short read-lock probes plus
-    /// relaxed atomic loads, so snapshotting never perturbs the data
-    /// plane.
+    /// The health engine does not take one: it reads the registry in
+    /// place ([`Self::counter_sum`], [`Self::gauge_max`]). The one caller
+    /// left is the benchmark's `obs.snapshot_ns` probe; this method and
+    /// [`crate::health::MetricsSnapshot`] go when that probe is retired.
     pub fn snapshot(&self) -> crate::health::MetricsSnapshot {
         fn copy<T, V>(
             map: &Families<T>,
@@ -376,6 +402,81 @@ h_ns_count 1
             assert_eq!((e.trace, e.span, e.parent), (trace, span, None));
             assert_eq!((e.scope, e.ctx, e.dur_ns), (0, 2, 0));
         }
+    }
+
+    #[test]
+    fn selector_label_filter() {
+        let r = Registry::new();
+        r.counter("acts_total", "", &[("action", "expired")]).add(7);
+        r.counter("acts_total", "", &[("action", "migrate-failed")])
+            .add(2);
+        let sum = |sel: Selector| r.counter_sum(&sel);
+        if crate::enabled() {
+            assert_eq!(sum(Selector::family("acts_total")), 9);
+            let failed = Selector::labeled("acts_total", "action", "migrate-failed");
+            assert_eq!(sum(failed), 2);
+        }
+        assert_eq!(sum(Selector::labeled("acts_total", "action", "nope")), 0);
+    }
+
+    /// A family whose name is a prefix of another's (or extends it)
+    /// reads only its own series, for counters and gauges alike.
+    #[test]
+    fn selectors_read_only_their_own_family() {
+        let r = Registry::new();
+        for (name, v) in [("lag", 1), ("lag_total", 10), ("la", 100), ("lag\0", 1_000)] {
+            r.counter(name, "", &[]).add(v);
+            r.gauge(name, "", &[("p", "0")]).set(v as i64);
+        }
+        let family = Selector::family;
+        if crate::enabled() {
+            assert_eq!(r.counter_sum(&family("lag")), 1);
+            assert_eq!(r.counter_sum(&family("la")), 100);
+            assert_eq!(r.gauge_max(&family("lag")), 1);
+            assert_eq!(r.gauge_max(&family("lag_total")), 10);
+        }
+        assert_eq!(r.counter_sum(&family("l")), 0);
+        assert_eq!(r.gauge_max(&family("lag_")), 0);
+    }
+
+    /// A labeled selector matches its label within its family only,
+    /// never the same label on a neighbouring family.
+    #[test]
+    fn labeled_selector_stays_inside_its_family() {
+        let r = Registry::new();
+        let op = |v| [("op", v)];
+        r.counter("a_total", "", &op("fetch")).add(3);
+        r.counter("a_total", "", &op("produce")).add(4);
+        r.counter("a_total_x", "", &op("produce")).add(50);
+        r.counter("a_tota", "", &op("produce")).add(600);
+        r.gauge("a_total", "", &op("produce")).set(-7);
+        r.gauge("a_total_x", "", &op("produce")).set(80);
+        let produce = Selector::labeled("a_total", "op", "produce");
+        if crate::enabled() {
+            assert_eq!(r.counter_sum(&produce), 4);
+            assert_eq!(r.gauge_max(&produce), -7);
+        }
+        let fetch = Selector::labeled("a_tota", "op", "fetch");
+        assert_eq!(r.counter_sum(&fetch), 0);
+    }
+
+    #[test]
+    fn registry_snapshot_round_trip() {
+        let r = Registry::new();
+        r.counter("a_total", "a", &[("p", "0")]).add(4);
+        r.gauge("g_level", "g", &[]).set(-2);
+        let snap = r.snapshot();
+        let counter = ("a_total".to_string(), vec![("p".into(), "0".into())]);
+        let gauge = ("g_level".to_string(), Vec::new());
+        if crate::enabled() {
+            assert_eq!(snap.counters[&counter], 4);
+            assert_eq!(snap.gauges[&gauge], -2);
+        } else {
+            assert_eq!(snap.counters[&counter], 0);
+        }
+        // Shape is captured either way.
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.gauges.len(), 1);
     }
 
     #[test]

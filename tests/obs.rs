@@ -181,10 +181,9 @@ fn supervised_run_publishes_consumer_lag_per_partition() {
     // 20 records, 3 per partition per epoch, all keyed to one partition.
     assert_eq!(per_epoch.into_inner(), [17, 14, 11, 8, 5, 2, 0]);
     let series = reg
-        .snapshot()
-        .gauges
-        .into_keys()
-        .filter(|(name, _)| name == "stream_consumer_lag")
+        .render_prometheus()
+        .lines()
+        .filter(|line| line.starts_with("stream_consumer_lag{"))
         .count();
     assert_eq!(series, 2, "one lag series per partition");
 }
