@@ -597,7 +597,11 @@ pub fn default_objectives() -> Vec<SloObjective> {
             name: "storage-migration".into(),
             subsystem: Subsystem::Storage,
             kind: SloKind::ErrorRatio {
-                good: vec![Selector::family("storage_lifecycle_actions_total")],
+                good: vec![Selector::labeled(
+                    "storage_lifecycle_actions_total",
+                    "action",
+                    "archived",
+                )],
                 bad: vec![Selector::labeled(
                     "storage_lifecycle_actions_total",
                     "action",
@@ -851,6 +855,31 @@ mod tests {
         }
     }
 
+    /// Storage migration counts only archived moves as successes:
+    /// expiries are not migrations, and a failed migration is no success.
+    #[test]
+    fn storage_migration_counts_only_archived_moves_as_good() {
+        let reg = Registry::new();
+        let action = |a: &str, n| {
+            reg.counter("storage_lifecycle_actions_total", "", &[("action", a)])
+                .add(n)
+        };
+        action("archived", 9);
+        action("migrate-failed", 1);
+        action("expired", 40);
+        let report = HealthEngine::with_defaults().observe(&reg);
+        let migration = (report.objectives.iter())
+            .find(|o| o.name == "storage-migration")
+            .expect("stock objective present");
+        if crate::enabled() {
+            // 1 failed of 10 migrations: exactly the 10% budget.
+            assert_eq!(migration.value, 100_000);
+            assert_eq!(migration.verdict, Verdict::Degraded);
+        } else {
+            assert_eq!(migration.verdict, Verdict::Healthy);
+        }
+    }
+
     #[test]
     fn first_tick_reports_totals_and_is_deterministic() {
         let mut a = HealthEngine::with_defaults();
@@ -1001,7 +1030,7 @@ mod tests {
         }
         if crate::enabled() {
             assert_eq!(worst, Verdict::Unhealthy, "the bursts must page");
-            assert_eq!(crate::fnv1a(rendered.as_bytes()), 0xf3a1_1c50_bf50_690b);
+            assert_eq!(crate::fnv1a(rendered.as_bytes()), 0xb6cd_b28d_8f96_fad3);
         } else {
             assert_eq!(worst, Verdict::Healthy);
         }
