@@ -782,13 +782,13 @@ mod tests {
             reg.counter("ok_total", "", &[]),
             reg.counter("bad_total", "", &[]),
         );
-        let mut tick = |good: u64, failed: u64| {
-            ok.add(good);
-            bad.add(failed);
-            eng.observe(&reg)
-        };
         let mut ticks = |n: usize, good: u64, failed: u64| {
-            (0..n).map(|_| tick(good, failed)).collect::<Vec<_>>()
+            let mut tick = || {
+                ok.add(good);
+                bad.add(failed);
+                eng.observe(&reg)
+            };
+            (0..n).map(|_| tick()).collect::<Vec<_>>()
         };
 
         // Clean traffic: 100 good per tick.

@@ -237,15 +237,11 @@ fn scripted_report() -> oda::obs::HealthReport {
     assert_eq!(last.tick, 0, "fresh engine starts at tick zero");
     let reg = Registry::new();
     let counter = |name: &str| reg.counter(name, "", &[]);
-    let (produced, fetched) = (
-        counter("stream_produce_records_total"),
-        counter("stream_fetch_records_total"),
-    );
-    let (exhausted, epochs, records) = (
-        counter("retry_exhausted_total"),
-        counter("pipeline_epochs_total"),
-        counter("pipeline_records_total"),
-    );
+    let produced = counter("stream_produce_records_total");
+    let fetched = counter("stream_fetch_records_total");
+    let exhausted = counter("retry_exhausted_total");
+    let epochs = counter("pipeline_epochs_total");
+    let records = counter("pipeline_records_total");
     let lag = reg.gauge(
         "stream_consumer_lag",
         "",
@@ -253,9 +249,10 @@ fn scripted_report() -> oda::obs::HealthReport {
     );
     // One tick: `n` records produced and fetched, `failed` exhausted,
     // one epoch per whole hundred produced so far.
-    let mut tick = |n: u64, failed: u64, level: i64, total: &mut u64| {
-        epochs.add((*total + n) / 100 - *total / 100);
-        *total += n;
+    let mut total = 0;
+    let mut tick = |n: u64, failed: u64, level: i64| {
+        epochs.add((total + n) / 100 - total / 100);
+        total += n;
         produced.add(n);
         fetched.add(n);
         records.add(n);
@@ -263,13 +260,12 @@ fn scripted_report() -> oda::obs::HealthReport {
         lag.set(level);
         engine.observe(&reg)
     };
-    let mut total = 0;
     for _ in 0..6 {
-        last = tick(100, 0, 40, &mut total);
+        last = tick(100, 0, 40);
         assert_eq!(last.overall, Verdict::Healthy);
     }
     for _ in 0..4 {
-        last = tick(80, 20, 900, &mut total);
+        last = tick(80, 20, 900);
     }
     if oda::obs::enabled() {
         assert_ne!(last.overall, Verdict::Healthy, "exhaustion must burn");
