@@ -43,7 +43,7 @@
 
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
-use super::{CellState, Parent, StateStore};
+use super::{CellState, KeyId, OpenCells, Parent, StateStore};
 use oda_storage::compress::{put_varint, unzigzag, zigzag};
 
 const MAGIC: &[u8; 4] = b"ODAS";
@@ -93,7 +93,7 @@ pub(super) fn encode(store: &StateStore, parent: Option<Parent>) -> (Vec<u8>, u6
 fn write<'a>(
     store: &'a StateStore,
     parent: Option<Parent>,
-    listed: impl Iterator<Item = (usize, &'a Vec<(i64, CellState)>)> + Clone,
+    listed: impl Iterator<Item = (usize, &'a OpenCells)> + Clone,
 ) -> (Vec<u8>, u64) {
     let changes = &store.changes;
     let (sensors, keys) = match parent {
@@ -143,7 +143,7 @@ fn write<'a>(
         next_id = id + 1;
         put_varint(&mut out, cells.len() as u64);
         let mut prev: Option<i64> = None;
-        for (window, cell) in cells {
+        for (window, cell) in cells.iter() {
             match prev {
                 None => {
                     put_varint(&mut out, zigzag(window.wrapping_sub(first)));
@@ -235,12 +235,12 @@ pub(super) fn decode_chain<'a>(
     drained_after.reverse();
     drained_after.push(i64::MIN);
     store.windows.clear();
-    for (open, &after) in store.cells.iter_mut().zip(&listed_after) {
+    for (id, (open, &after)) in store.cells.iter_mut().zip(&listed_after).enumerate() {
         let horizon = drained_after.get(after).copied().unwrap_or(i64::MIN);
-        let closed = open.partition_point(|&(w, _)| w < horizon);
-        open.drain(..closed);
+        open.drain_below(horizon).for_each(drop);
+        let id = KeyId(u32::try_from(id).ok()?);
         for &(window, _) in open.iter() {
-            *store.windows.entry(window).or_insert(0) += 1;
+            store.windows.entry(window).or_default().push(id);
         }
     }
     let changes = &mut store.changes;
@@ -288,8 +288,8 @@ fn body_into(
         }
         let open = store.cells.get_mut(id)?;
         *listed_after.get_mut(id)? = drains;
-        open.clear();
-        open.reserve_exact(n);
+        open.older.clear();
+        open.older.reserve_exact(n);
         let mut prev: Option<i64> = None;
         for _ in 0..n {
             let window = match prev {
@@ -306,8 +306,10 @@ fn body_into(
                 min: f64::from_bits(r.u64()?),
                 max: f64::from_bits(r.u64()?),
             };
-            open.push((window, cell));
+            open.older.push((window, cell));
         }
+        // The last window read is the largest: it goes inline.
+        open.newest = open.older.pop();
     }
     store.wm_ms = r.signed()?;
     store.gap_next = match r.take(1)? {
