@@ -35,7 +35,8 @@ pub enum PipelineError {
         got: u64,
     },
     /// A query was malformed: a plan argument out of range (a
-    /// non-positive window width) or a configuration
+    /// non-positive window width, or a width that leaves a timestamp
+    /// without an `i64` window start) or a configuration
     /// `StreamingQueryBuilder::build` rejected.
     InvalidQuery(String),
 }

@@ -11,9 +11,14 @@ use crate::error::PipelineError;
 use crate::frame::Frame;
 use oda_storage::colfile::ColumnData;
 
-/// Start of the tumbling window containing `ts_ms`.
-pub fn window_start(ts_ms: i64, width_ms: i64) -> i64 {
-    ts_ms.div_euclid(width_ms) * width_ms
+/// Start of the tumbling window containing `ts_ms`, or `None` when that
+/// start is not an `i64` (a timestamp within one window of `i64::MIN`)
+/// or the width is not positive.
+pub fn window_start(ts_ms: i64, width_ms: i64) -> Option<i64> {
+    if width_ms <= 0 {
+        return None;
+    }
+    ts_ms.div_euclid(width_ms).checked_mul(width_ms)
 }
 
 /// Add a `window` column: the tumbling-window start of `ts_col`.
@@ -40,14 +45,18 @@ pub fn assign_window_as(
     let windows: Vec<i64> = ts
         .iter()
         .map(|&t| match last {
-            Some((prev, w)) if prev == t => w,
+            Some((prev, w)) if prev == t => Ok(w),
             _ => {
-                let w = window_start(t, width_ms);
+                let w = window_start(t, width_ms).ok_or_else(|| {
+                    PipelineError::InvalidQuery(format!(
+                        "timestamp {t} has no {width_ms} ms window start in range"
+                    ))
+                })?;
                 last = Some((t, w));
-                w
+                Ok(w)
             }
         })
-        .collect();
+        .collect::<Result<_, PipelineError>>()?;
     let mut out = frame.clone();
     out.push_column(out_col, ColumnData::I64(windows.into()))?;
     Ok(out)
@@ -59,10 +68,31 @@ mod tests {
 
     #[test]
     fn window_start_floors() {
-        assert_eq!(window_start(0, 15_000), 0);
-        assert_eq!(window_start(14_999, 15_000), 0);
-        assert_eq!(window_start(15_000, 15_000), 15_000);
-        assert_eq!(window_start(-1, 15_000), -15_000);
+        assert_eq!(window_start(0, 15_000), Some(0));
+        assert_eq!(window_start(14_999, 15_000), Some(0));
+        assert_eq!(window_start(15_000, 15_000), Some(15_000));
+        assert_eq!(window_start(-1, 15_000), Some(-15_000));
+    }
+
+    #[test]
+    fn window_start_refuses_starts_below_i64_min() {
+        let floor = (i64::MIN.div_euclid(15_000) + 1) * 15_000;
+        assert_eq!(window_start(floor, 15_000), Some(floor));
+        assert_eq!(window_start(floor - 1, 15_000), None);
+        assert_eq!(window_start(i64::MIN, 15_000), None);
+        assert_eq!(window_start(i64::MAX, 15_000).map(|w| w % 15_000), Some(0));
+        assert_eq!(window_start(i64::MIN, 1), Some(i64::MIN));
+        assert_eq!(window_start(7, 0), None);
+        // The plan's Window clause reports such a row as an error.
+        let f = Frame::new(vec![(
+            "ts".into(),
+            ColumnData::I64(vec![0, i64::MIN].into()),
+        )])
+        .unwrap();
+        assert!(matches!(
+            assign_window(&f, "ts", 15_000),
+            Err(PipelineError::InvalidQuery(_))
+        ));
     }
 
     #[test]
