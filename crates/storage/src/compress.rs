@@ -8,12 +8,10 @@
 //!
 //! Format (after a 1-byte method tag):
 //! * `0x00` raw: the block was incompressible, payload follows verbatim.
-//! * `0x01` LZ: `varint(uncompressed_len)` then tokens. Each token is a
-//!   control byte: `0x00..=0x7f` = literal run of control+1 bytes;
-//!   `0x80 | n` = match, followed by `varint(length - MIN_MATCH)` when
-//!   `n == 0x7f` sentinel is unused — lengths are encoded as
-//!   `varint(length)` and `varint(distance)` directly after a `0x80`
-//!   control byte.
+//! * `0x01` LZ: `varint(uncompressed_len)` then tokens. Each token starts
+//!   with a control byte: `0x00..=0x7f` is a literal run of
+//!   `control + 1` bytes, which follow it; `0x80` is a match, followed by
+//!   `varint(length)` and then `varint(distance)`.
 
 use crate::error::StorageError;
 use std::cell::RefCell;
@@ -99,8 +97,11 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 /// One thread's match table, kept between calls so a call does not
 /// zero `HASH_SIZE` entries first.
 struct MatchTable {
-    /// `head[h]` = `base` + 1 + the most recent position with hash `h`.
-    head: Vec<u32>,
+    /// `head[h]` = (`base` + 1 + the most recent position with hash `h`,
+    /// the four bytes at that position). Keeping the bytes beside the
+    /// slot lets a miss be told from a hit without loading the
+    /// candidate's bytes through an address the table has to supply.
+    head: Vec<(u32, u32)>,
     /// Every entry at or below it was written by an earlier call and
     /// reads as empty.
     base: u32,
@@ -127,7 +128,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     put_varint(&mut out, input.len() as u64);
     TABLE.with_borrow_mut(|table| {
         if table.head.is_empty() {
-            table.head = vec![0; HASH_SIZE];
+            table.head = vec![(0, 0); HASH_SIZE];
         }
         // Positions are stored as `base + 1 + i`: start afresh when this
         // input's would not fit in a `u32`. (An input of 4 GiB or more
@@ -136,7 +137,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let base = match table.base.checked_add(len) {
             Some(end) => std::mem::replace(&mut table.base, end),
             None => {
-                table.head.fill(0);
+                table.head.fill((0, 0));
                 table.base = len;
                 0
             }
@@ -147,12 +148,14 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let mut i = 0usize;
         while i + MIN_MATCH <= input.len() {
             let word = load4(input, i);
-            let h = hash(word);
-            let entry = std::mem::replace(&mut head[h], slot(i));
-            let cand = (entry > base)
-                .then(|| (entry - base - 1) as usize)
-                .filter(|&cand| i - cand <= WINDOW && load4(input, cand) == word);
-            if let Some(cand) = cand {
+            let (entry, seen) = std::mem::replace(&mut head[hash(word)], (slot(i), word));
+            // An entry of this call is a position below `i`. One at or
+            // below `base` (an earlier call's, or empty) wraps to at least
+            // `u32::MAX - base`, past every position of an input that fits
+            // above `base`, so `i - cand - 1` wraps far past the window:
+            // one comparison rejects it and enforces the window.
+            let cand = entry.wrapping_sub(base).wrapping_sub(1) as usize;
+            if seen == word && i.wrapping_sub(cand).wrapping_sub(1) < WINDOW {
                 let matched =
                     MIN_MATCH + common_prefix(&input[cand + MIN_MATCH..], &input[i + MIN_MATCH..]);
                 flush_literals(&mut out, &input[literal_start..i]);
@@ -164,7 +167,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
                 let step = (matched / 8).max(1);
                 let mut j = i + 1;
                 while j + MIN_MATCH <= input.len() && j < i + matched {
-                    head[hash(load4(input, j))] = slot(j);
+                    let word = load4(input, j);
+                    head[hash(word)] = (slot(j), word);
                     j += step;
                 }
                 i += matched;
@@ -477,6 +481,74 @@ mod tests {
             assert_eq!(compress(&input), want, "base {base}");
             assert_eq!(compress(&input), want, "base {base}, next call");
         }
+    }
+
+    /// The distance of every match token in a `0x01` stream.
+    fn match_distances(stream: &[u8]) -> Vec<u64> {
+        let (_, mut pos) = get_varint(&stream[1..]).unwrap();
+        pos += 1;
+        let mut distances = Vec::new();
+        while pos < stream.len() {
+            let control = stream[pos];
+            pos += 1;
+            if control & 0x80 == 0 {
+                pos += usize::from(control) + 1;
+            } else {
+                let (_, n1) = get_varint(&stream[pos..]).unwrap();
+                let (dist, n2) = get_varint(&stream[pos + n1..]).unwrap();
+                pos += n1 + n2;
+                distances.push(dist);
+            }
+        }
+        distances
+    }
+
+    /// Differential on inputs of 100–300 KB, past the window and enough
+    /// positions to fill the table, each compressed twice in a row so
+    /// the second call runs on a reused table.
+    #[test]
+    fn matcher_writes_the_reference_bytes_on_long_inputs() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+        let mut noise = |n: usize| (0..n).map(|_| rng.random::<u8>()).collect::<Vec<u8>>();
+        let random = noise(150_000);
+        // A slowly moving float series that often holds its value, as
+        // `Plain` stores it: 240 KB.
+        let mut v = 1234.5f64;
+        let page: Vec<u8> = (0..30_000u32)
+            .flat_map(|k| {
+                if k % 3 != 0 {
+                    v += f64::from(k % 7) * 0.25 - 0.75;
+                }
+                v.to_le_bytes()
+            })
+            .collect();
+        // After 40 KB of noise, a marker that reappears `gap` bytes later
+        // across a run of zeros, whose few distinct words leave the
+        // marker's table entries in place.
+        let repeat_at = |gap: usize, noise: Vec<u8>, marker: &[u8]| {
+            let mut input = noise;
+            input.extend_from_slice(marker);
+            input.resize(input.len() + gap - marker.len(), 0);
+            input.extend_from_slice(marker);
+            input
+        };
+        let marker = noise(32);
+        let at_window = repeat_at(WINDOW, noise(40_000), &marker);
+        let past_window = repeat_at(WINDOW + 1, noise(40_000), &marker);
+        for input in [&random, &page, &at_window, &past_window] {
+            assert!((100_000..=300_000).contains(&input.len()));
+            let want = reference_compress(input);
+            for call in 0..2 {
+                assert_eq!(compress(input), want, "{} bytes, call {call}", input.len());
+            }
+            assert_eq!(decompress(&want).unwrap(), *input);
+        }
+        // The edge cases reach the edge: a match at exactly `WINDOW`, and
+        // none past it.
+        assert!(match_distances(&reference_compress(&at_window)).contains(&(WINDOW as u64)));
+        let distances = match_distances(&reference_compress(&past_window));
+        assert!(distances.iter().all(|&d| d <= WINDOW as u64));
     }
 
     proptest! {
