@@ -45,9 +45,8 @@ use oda_obs::{trace_id, trace_span, Registry, TraceEventKind, SERVICE_TRACE};
 use oda_storage::colfile::{ChunkStats, ColumnData, ColumnType, LazyTable, TableFile, TableSchema};
 
 use crate::error::PipelineError;
-use crate::expr::{CmpOp, Expr};
+use crate::expr::{literal_operand, mask_and_cmp_literal, CmpOp, Expr, Literal};
 use crate::frame::Frame;
-use crate::kernels;
 use crate::ops::{self, Agg, AggSpec};
 use crate::window::assign_window;
 
@@ -136,29 +135,22 @@ impl ScanPredicate {
     /// columns are evaluated on u32 codes — the dictionary is tested
     /// once per distinct value, never per row.
     fn apply(&self, col: &ColumnData, mask: &mut [bool]) -> Result<(), PipelineError> {
-        let mismatch = |expected: &str| PipelineError::TypeMismatch {
+        let (op, lit) = match self {
+            ScanPredicate::CatEq { value, .. } => (CmpOp::Eq, Literal::Str(value)),
+            ScanPredicate::CatNe { value, .. } => (CmpOp::Ne, Literal::Str(value)),
+            ScanPredicate::NumCmp { op, value, .. } => (*op, Literal::Num(*value)),
+        };
+        if mask_and_cmp_literal(mask, col, op, lit) {
+            return Ok(());
+        }
+        let expected = match lit {
+            Literal::Str(_) => "string column for categorical predicate",
+            Literal::Num(_) => "numeric column for comparison",
+        };
+        Err(PipelineError::TypeMismatch {
             column: self.column().to_string(),
             expected: expected.into(),
-        };
-        match self {
-            ScanPredicate::CatEq { value, .. } | ScanPredicate::CatNe { value, .. } => {
-                let want = matches!(self, ScanPredicate::CatEq { .. });
-                match col {
-                    ColumnData::Str(v) => kernels::mask_and_str_eq(mask, &v[..], value, want),
-                    ColumnData::Dict { dict, codes } => {
-                        let table: Vec<bool> = dict.iter().map(|s| (s == value) == want).collect();
-                        kernels::mask_and_code_table(mask, &codes[..], &table);
-                    }
-                    _ => return Err(mismatch("string column for categorical predicate")),
-                }
-            }
-            ScanPredicate::NumCmp { op, value, .. } => match col {
-                ColumnData::I64(v) => kernels::mask_and_cmp_i64(mask, &v[..], *op, *value),
-                ColumnData::F64(v) => kernels::mask_and_cmp_f64(mask, &v[..], *op, *value),
-                _ => return Err(mismatch("numeric column for comparison")),
-            },
-        }
-        Ok(())
+        })
     }
 
     /// Can footer stats rule out a whole row group for this predicate?
@@ -682,48 +674,20 @@ fn recombine(conjs: Vec<Expr>) -> Option<Expr> {
 /// operand order. Anything else stays in a residual filter.
 fn classify(e: &Expr) -> Option<ScanPredicate> {
     let Expr::Cmp(op, a, b) = e else { return None };
-    // Normalize to column-on-the-left, flipping the operator when the
-    // literal is on the left (5 < x  ≡  x > 5).
-    let (column, op, lit) = match (a.as_ref(), b.as_ref()) {
-        (Expr::Col(c), lit) => (c.clone(), *op, lit),
-        (lit, Expr::Col(c)) => (c.clone(), flip(*op), lit),
-        _ => return None,
-    };
-    match lit {
-        Expr::LitS(s) => match op {
-            CmpOp::Eq => Some(ScanPredicate::CatEq {
-                column,
-                value: s.clone(),
-            }),
-            CmpOp::Ne => Some(ScanPredicate::CatNe {
-                column,
-                value: s.clone(),
-            }),
-            // Ordered string comparisons are rare; leave them residual.
-            _ => None,
-        },
-        Expr::LitF(v) => Some(ScanPredicate::NumCmp {
+    let (column, op, lit) = literal_operand(*op, a, b)?;
+    let column = column.to_string();
+    match (lit, op) {
+        (Literal::Str(s), CmpOp::Eq) => Some(ScanPredicate::CatEq {
             column,
-            op,
-            value: *v,
+            value: s.to_string(),
         }),
-        Expr::LitI(v) => Some(ScanPredicate::NumCmp {
+        (Literal::Str(s), CmpOp::Ne) => Some(ScanPredicate::CatNe {
             column,
-            op,
-            value: *v as f64,
+            value: s.to_string(),
         }),
-        _ => None,
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Eq => CmpOp::Eq,
-        CmpOp::Ne => CmpOp::Ne,
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
+        // Ordered string comparisons are rare; leave them residual.
+        (Literal::Str(_), _) => None,
+        (Literal::Num(value), op) => Some(ScanPredicate::NumCmp { column, op, value }),
     }
 }
 
