@@ -250,7 +250,8 @@ impl Frame {
     /// columns always share their dictionary allocation.
     pub fn filter_mask(&self, mask: &[bool]) -> Frame {
         assert_eq!(mask.len(), self.rows, "mask length mismatch");
-        let rows = kernels::count_true(mask);
+        let mask = kernels::CountedMask::new(mask);
+        let rows = mask.kept();
         if rows == self.rows {
             return self.clone();
         }
@@ -258,12 +259,12 @@ impl Frame {
             .columns
             .iter()
             .map(|c| match c {
-                ColumnData::I64(v) => ColumnData::I64(kernels::filter_copy(&v[..], mask).into()),
-                ColumnData::F64(v) => ColumnData::F64(kernels::filter_copy(&v[..], mask).into()),
-                ColumnData::Str(v) => ColumnData::Str(kernels::filter_clone(&v[..], mask).into()),
+                ColumnData::I64(v) => ColumnData::I64(mask.filter_copy(&v[..]).into()),
+                ColumnData::F64(v) => ColumnData::F64(mask.filter_copy(&v[..]).into()),
+                ColumnData::Str(v) => ColumnData::Str(mask.filter_clone(&v[..]).into()),
                 ColumnData::Dict { dict, codes } => ColumnData::Dict {
                     dict: dict.clone(),
-                    codes: kernels::filter_copy(&codes[..], mask).into(),
+                    codes: mask.filter_copy(&codes[..]).into(),
                 },
             })
             .collect();
